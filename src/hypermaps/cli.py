@@ -140,7 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _threads(args) -> int:
     if args.threads == "auto":
-        return os.cpu_count() or 1
+        try:
+            return len(os.sched_getaffinity(0))  # the CPUs this process may run on
+        except AttributeError:  # platforms without affinity masks
+            return os.cpu_count() or 1
     count = int(args.threads)
     if count < 1:
         raise ValueError("--threads must be at least 1")

@@ -33,7 +33,9 @@ from .polynomial import BivarPoly
 from .permutations import _heap_raw, _orbit_size
 
 #: Largest r enumerated without an explicit override; r=13 is about 6.2e9
-#: permutations, roughly an hour of work, and growth beyond that is r-fold.
+#: permutations.  At the measured serial rate of 3.2-3.6 us per permutation
+#: (Python 3.11 on a 2-core x86 machine) that is 5.5-6.2 hours of work, and
+#: growth beyond that is r-fold.
 DEFAULT_ENUM_CEILING = 13
 
 #: Below this size a parallel request falls back to the serial loop; the

@@ -4,9 +4,25 @@ Writing P_r for the generating polynomial with r darts, the recurrence is
 
     (r+3) P_{r+2} = (2r+3)(m+n) P_{r+1} + r[(r+1)^2 - (m-n)^2] P_r,   r >= 1,
 
-with P_1 = mn and P_2 = m^2*n + m*n^2.  The division by r+3 is always exact;
-a remainder (NotDivisible) means the state was corrupted.  Stepping the
-recurrence is the fastest way to produce every polynomial up to some order.
+with P_1 = mn and P_2 = m^2*n + m*n^2.  Stepping the recurrence is the
+fastest way to produce every polynomial up to some order.
+
+The step runs on genus rows, not on generic polynomial products.  Every term
+m^e*n^v of P_s satisfies e, v >= 1 and e + v = s + 1 - 2g for a genus g >= 0,
+so P_s is stored as the list rows, where slot j of genus row g, rows[g][j],
+is the coefficient of m^(j+1)*n^(s-2g-j) for j = 0..s-2g-1.  The Euler
+parity is built into this layout, so it has no slots that are zero by
+construction.  With A and B the rows of P_{r+1} and P_r, slot j of row g of
+P_{r+2} collects each term of the recurrence as a shift-and-add on rows:
+
+    (m+n) P_{r+1}       A[g][j-1] + A[g][j]
+    (m-n)^2 P_r         B[g][j-2] - 2*B[g][j-1] + B[g][j]
+    r(r+1)^2 P_r        B[g-1][j]   (genus row g-1 lands on row g)
+
+with slots outside a row read as zero.  The division by r+3 is checked
+coefficient by coefficient and is always exact for true generating
+polynomials; a remainder raises NotDivisible with the term's (e, v), the
+coefficient and the divisor r+3, because it means the state was corrupted.
 
 The recurrence is certified by a telescoping companion identity: with F(r, k)
 the k-th summand of the closed-form sum, there is an explicitly given G(r, k)
@@ -26,12 +42,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Dict, List, Tuple
 
-from .polynomial import M, N, BivarPoly
+from .polynomial import M, N, BivarPoly, NotDivisible, _wrap
 from .closed_form import rising_ratio
 
 _P1 = BivarPoly({(1, 1): 1})
 _P2 = BivarPoly({(2, 1): 1, (1, 2): 1})
+
+_Rows = List[List[int]]
+#: Exponent pairs (i, d - i), i = 1..d-1, of the terms of total degree d.
+_KeyCache = Dict[int, List[Tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -50,13 +71,11 @@ def initial_state() -> RecurrenceState:
 
 def step(state: RecurrenceState) -> RecurrenceState:
     """Advance one dart: produce the polynomial for r_current + 1 darts."""
-    r = state.r_current - 1  # recurrence index, >= 1
-    if r < 1:
-        raise ValueError(f"state at r_current={state.r_current} cannot be advanced")
-    rhs = (2 * r + 3) * (M + N) * state.p_curr + (
-        r * ((r + 1) ** 2)
-    ) * state.p_prev - r * ((M - N) ** 2) * state.p_prev
-    return RecurrenceState(state.r_current + 1, state.p_curr, rhs.exact_div(r + 3))
+    s = state.r_current
+    if s < 2:
+        raise ValueError(f"state at r_current={s} cannot be advanced")
+    rows = _advance(s + 1, _to_rows(state.p_curr, s), _to_rows(state.p_prev, s - 1))
+    return RecurrenceState(s + 1, state.p_curr, _to_poly(rows, s + 1, {}))
 
 
 def stream(r_max: int):
@@ -66,11 +85,60 @@ def stream(r_max: int):
     yield 1, _P1
     if r_max == 1:
         return
-    state = initial_state()
     yield 2, _P2
-    while state.r_current < r_max:
-        state = step(state)
-        yield state.r_current, state.p_curr
+    keys: _KeyCache = {}
+    prev, curr = [[1]], [[1, 1]]
+    for s in range(3, r_max + 1):
+        prev, curr = curr, _advance(s, curr, prev)
+        yield s, _to_poly(curr, s, keys)
+
+
+def _advance(s: int, a_rows: _Rows, b_rows: _Rows) -> _Rows:
+    """Genus rows of P_s from those of P_{s-1} (a_rows) and P_{s-2} (b_rows)."""
+    r = s - 2
+    c_a, c_b, c_bb, d = 2 * r + 3, r * (r + 1) ** 2, 2 * r, r + 3
+    out: _Rows = []
+    for g in range((s + 1) // 2):
+        length = s - 2 * g
+        # pad the rows so that the zip below reads zeros outside each row
+        a = [0, *a_rows[g], 0] if g < len(a_rows) else [0] * (length + 1)
+        b = [0, 0, *b_rows[g], 0, 0] if g < len(b_rows) else [0] * (length + 2)
+        h = b_rows[g - 1] if g else [0] * length
+        row: List[int] = []
+        for a0, a1, h0, b0, b1, b2 in zip(a, a[1:], h, b, b[1:], b[2:]):
+            t = c_a * (a0 + a1) + c_b * h0 - r * (b0 + b2) + c_bb * b1
+            q, rem = divmod(t, d)
+            if rem:
+                j = len(row)  # slot of m^(j+1)
+                raise NotDivisible(j + 1, length - j, t, d)
+            row.append(q)
+        out.append(row)
+    return out
+
+
+def _to_rows(poly: BivarPoly, s: int) -> _Rows:
+    """Genus rows of a polynomial in s darts; ValueError if a term does not fit."""
+    rows: _Rows = [[0] * (s - 2 * g) for g in range((s + 1) // 2)]
+    for (e, v), c in poly.terms.items():
+        g, odd = divmod(s + 1 - e - v, 2)
+        if odd or g < 0 or e < 1 or v < 1:
+            raise ValueError(f"term m^{e}*n^{v} does not fit a polynomial in {s} darts")
+        rows[g][e - 1] = c
+    return rows
+
+
+def _to_poly(rows: _Rows, s: int, keys: _KeyCache) -> BivarPoly:
+    """The polynomial in s darts held by rows, reusing key tuples cached in keys."""
+    terms = {}
+    for g, row in enumerate(rows):
+        deg = s + 1 - 2 * g
+        ks = keys.get(deg)
+        if ks is None:
+            ks = keys[deg] = [(i, deg - i) for i in range(1, deg)]
+        for k, c in zip(ks, row):
+            if c:
+                terms[k] = c
+    return _wrap(terms)
 
 
 def one_face_poly(r: int) -> BivarPoly:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -230,3 +231,12 @@ def test_single_and_multi_threaded_verify_are_byte_identical():
     serial = _subprocess_out("verify", "--r-max", "6", "--threads", "1")
     parallel = _subprocess_out("verify", "--r-max", "6", "--threads", "2")
     assert serial == parallel
+
+
+def test_poly_range_recursion_golden():
+    # pins the recurrence route byte for byte: stdout of
+    # `hypermaps poly --r-min 1 --r-max 60`
+    out = _subprocess_out("poly", "--r-min", "1", "--r-max", "60")
+    assert hashlib.sha256(out).hexdigest() == (
+        "c6fb6382cc5d8bb6c42a675cb51fdcc9e5906d1efbe93744647b0c1ce6e29cc8"
+    )

@@ -1,7 +1,7 @@
 import pytest
 
 from hypermaps import closed_form, enumeration, recursion
-from hypermaps.polynomial import BivarPoly, NotDivisible
+from hypermaps.polynomial import M, N, BivarPoly, NotDivisible
 from hypermaps.recursion import (
     RecurrenceState,
     certificate_bracket,
@@ -37,6 +37,10 @@ def test_two_steps_produce_four_darts():
 def test_recursion_matches_closed_form_to_twenty():
     for r, poly in stream(20):
         assert poly == closed_form.one_face_poly(r)
+    # spot checks well past twenty, where coefficients span hundreds of bits
+    streamed = dict(stream(80))
+    for r in (41, 64, 80):
+        assert streamed[r] == closed_form.one_face_poly(r), r
 
 
 def test_recursion_matches_enumeration():
@@ -75,10 +79,28 @@ def test_corrupted_state_is_caught():
     # a state pair that no generating polynomials can produce trips the
     # exact-division safety net within a few steps
     bad = RecurrenceState(2, BivarPoly({(1, 1): 1}), BivarPoly({(2, 1): 1}))
-    with pytest.raises(NotDivisible):
+    with pytest.raises(NotDivisible) as caught:
         s = bad
         for _ in range(5):
             s = step(s)
+    # s is the state whose step failed; the error names the divisor r+3 and
+    # a term whose undivided coefficient matches the generic products
+    err, r = caught.value, s.r_current - 1
+    assert err.divisor == r + 3
+    rhs = (2 * r + 3) * (M + N) * s.p_curr + r * (
+        BivarPoly.constant((r + 1) ** 2) - (M - N) ** 2
+    ) * s.p_prev
+    assert rhs.coefficient(err.e, err.v) == err.coeff
+    assert err.coeff % err.divisor
+
+
+def test_step_rejects_term_outside_genus_layout():
+    # m^2*n^2 has e + v = 4, which no polynomial in one dart has; the step
+    # must refuse it instead of dropping it
+    with pytest.raises(ValueError):
+        step(RecurrenceState(2, BivarPoly({(2, 2): 1}), P2))
+    with pytest.raises(ValueError):
+        step(RecurrenceState(2, P1, BivarPoly({(2, 0): 1})))
 
 
 def test_certificate_bracket_spot_values():
