@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: poly, table, count, stirling, avg-trace, verify, bench.
-Output goes to stdout unless --out is given.  Exit status is 0 only when
-every requested computation or check succeeded; enumeration requests above
-the ceiling exit with 2 (override with --force), failed verify checks with 1.
+Output goes to stdout unless --out is given; --out replaces its file
+atomically, so a failed write leaves no partial file.  Exit status is 0 only
+when every requested computation or check succeeded; enumeration requests
+above the ceiling exit with 2 (override with --force), as do bad arguments
+and an --out that cannot be written; failed verify checks exit with 1.
+verify reports each check's elapsed time on stderr.
 
 Output is byte-identical across repeated runs with the same configuration,
 including under --threads: parallel enumeration shards merge by coefficient
@@ -435,7 +438,10 @@ def _cmd_verify(args) -> Tuple[str, int]:
     lines = []
     passed = 0
     for name, fn in checks:
+        start = time.perf_counter()
         ok, detail = fn()
+        # timings vary from run to run, so they go to stderr and stdout stays byte-identical
+        print(f"time {name}: {time.perf_counter() - start:.3f} s", file=sys.stderr, flush=True)
         passed += ok
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     lines.append(f"verify: {passed}/{len(checks)} checks passed")
@@ -469,11 +475,30 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            _write_atomic(args.out, text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code
+
+
+def _write_atomic(path: str, text: str):
+    """Write text to path through a temporary file beside it and os.replace.
+
+    A failed write leaves neither a half-written path nor the temporary file.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 if __name__ == "__main__":

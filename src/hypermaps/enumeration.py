@@ -20,7 +20,8 @@ that the polynomial-time closed form and the recurrence are checked against.
 
 Work can be split into r independent shards by the image of dart 0; shards
 are merged by coefficient addition, so parallel and serial runs produce
-identical polynomials.
+identical polynomials.  The shards of several face shapes of the same size
+share one process pool.
 """
 
 from __future__ import annotations
@@ -169,17 +170,32 @@ def cycle_pair_counts(
     of the generating polynomial and the values are the map counts.
     """
     lengths = list(lengths)
-    r = sum(lengths)
-    _check_ceiling(r, ceiling)
+    _check_ceiling(sum(lengths), ceiling)
+    return _shape_counts([lengths], connected_only, workers)[0]
+
+
+def _shape_counts(
+    shapes: Sequence[Sequence[int]],
+    connected_only: bool,
+    workers: int,
+) -> List[Dict[Tuple[int, int], int]]:
+    """cycle_pair_counts for several face shapes of the same r, one histogram each.
+
+    Pooled, every (shape, sigma(0)) shard goes to one process pool, so a
+    call starts one pool however many shapes it is given.  The caller checks
+    the ceiling.
+    """
+    r = sum(shapes[0])
     if workers > 1 and r >= _PARALLEL_MIN_R:
-        merged: Dict[Tuple[int, int], int] = {}
-        jobs = [(lengths, v, connected_only) for v in range(r)]
+        merged: List[Dict[Tuple[int, int], int]] = [{} for _ in shapes]
+        jobs = [(lengths, v, connected_only) for lengths in shapes for v in range(r)]
         with ProcessPoolExecutor(max_workers=min(workers, r)) as pool:
-            for shard in pool.map(_shard_job, jobs):
+            for i, shard in enumerate(pool.map(_shard_job, jobs)):
+                counts = merged[i // r]
                 for key, c in shard.items():
-                    merged[key] = merged.get(key, 0) + c
+                    counts[key] = counts.get(key, 0) + c
         return merged
-    return _count_shard(_xi_table(lengths), None, connected_only)
+    return [_count_shard(_xi_table(lengths), None, connected_only) for lengths in shapes]
 
 
 def one_face_poly(

@@ -9,9 +9,15 @@ unrooted second loop.  So for each split the disconnected part, which is
 exactly the product of the two one-face polynomials, is subtracted, the
 difference is divided by b, and the splits b = 1..r-1 are summed.
 
-Divisibility by b of each difference is asserted, not assumed: the division
-raises NotDivisible if the equivalence classes ever fail to have size b,
-which would be a real finding rather than something to hide.
+The face shapes [a, b] and [b, a] are conjugate in Sym_r, and conjugating
+sigma by the same permutation keeps cycles(sigma), cycles(xi o sigma) and
+transitivity, so both shapes have the same histogram.  Each unordered split
+is therefore enumerated once, as [a, b] with a >= b, and its difference D
+contributes D/b for [a, b] plus D/a for [b, a] when a != b.  The two
+divisions stay separate: each one is asserted exact, not assumed, and
+raises NotDivisible if the equivalence classes ever fail to have size b (or
+a), which would be a real finding rather than something to hide.  All the
+splits of one call share one process pool.
 
 connected_two_face_oracle recomputes the same polynomial a second,
 structurally different way, by enumerating only the sigma whose joint action
@@ -30,10 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from .polynomial import BivarPoly
-from .enumeration import DEFAULT_ENUM_CEILING, _check_ceiling, cycle_pair_counts
+from .enumeration import DEFAULT_ENUM_CEILING, _check_ceiling, _shape_counts
 from . import closed_form
 
 
@@ -59,17 +65,12 @@ def two_face_gf(
     part it subtracts is the product of one-face polynomials from the
     polynomial-time closed form.
     """
-    if r < 2:
-        raise ValueError("two-face maps need at least 2 darts")
-    _check_ceiling(r, ceiling)
+    splits = _unordered_splits(r, ceiling)
+    histograms = _shape_counts([[a, b] for a, b in splits], False, workers)
     gf = BivarPoly.zero()
-    for b in range(1, r):
-        a = r - b
-        both_loops = BivarPoly(
-            cycle_pair_counts([a, b], ceiling=ceiling, workers=workers)
-        )
+    for (a, b), counts in zip(splits, histograms):
         disconnected = closed_form.one_face_poly(a) * closed_form.one_face_poly(b)
-        gf = gf + (both_loops - disconnected).exact_div(b)
+        gf = gf + _both_orders(BivarPoly(counts) - disconnected, a, b)
     return TwoFaceResult(r, gf, gf.eval_at(1, 1))
 
 
@@ -94,19 +95,34 @@ def connected_two_face_oracle(
 ) -> BivarPoly:
     """Ground-truth two-face polynomial via transitivity-filtered enumeration.
 
-    For each split, sums the monomials of exactly those sigma that join the
-    two loops into one connected diagram, then divides the per-split sum by b
-    (the cyclic degeneracy of the unrooted loop).  Independent of the
-    subtraction performed by two_face_gf, which it must match.
+    For each unordered split [a, b] with a >= b, sums the monomials of
+    exactly those sigma that join the two loops into one connected diagram,
+    then divides that sum by b, and for the conjugate split [b, a] by a (the
+    cyclic degeneracy of the unrooted loop).  Independent of the subtraction
+    performed by two_face_gf, which it must match.
     """
+    splits = _unordered_splits(r, ceiling)
+    histograms = _shape_counts([[a, b] for a, b in splits], True, workers)
+    gf = BivarPoly.zero()
+    for (a, b), counts in zip(splits, histograms):
+        gf = gf + _both_orders(BivarPoly(counts), a, b)
+    return gf
+
+
+def _unordered_splits(r: int, ceiling: Optional[int]) -> List[Tuple[int, int]]:
+    """The splits (a, b) of r darts into two loops with a >= b >= 1."""
     if r < 2:
         raise ValueError("two-face maps need at least 2 darts")
     _check_ceiling(r, ceiling)
-    gf = BivarPoly.zero()
-    for b in range(1, r):
-        a = r - b
-        counts = cycle_pair_counts(
-            [a, b], connected_only=True, ceiling=ceiling, workers=workers
-        )
-        gf = gf + BivarPoly(counts).exact_div(b)
-    return gf
+    return [(r - b, b) for b in range(1, r // 2 + 1)]
+
+
+def _both_orders(per_split: BivarPoly, a: int, b: int) -> BivarPoly:
+    """Contribution of the ordered splits [a, b] and [b, a] from their common sum.
+
+    [a, b] is divided by b and [b, a] by a, each division exact-or-raise.
+    """
+    out = per_split.exact_div(b)
+    if a != b:
+        out = out + per_split.exact_div(a)
+    return out

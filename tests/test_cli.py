@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from hypermaps.cli import (
     main,
     parse_table_csv,
@@ -169,6 +171,20 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == "m^2*n + m*n^2\n"
+    assert list(tmp_path.iterdir()) == [target]  # no temporary file left
+
+
+@pytest.mark.parametrize("target", ["no/such/x", "d"])
+def test_out_write_failure_exit_code(tmp_path, capsys, target):
+    (tmp_path / "d").mkdir()
+    code = main(["count", "--r", "3", "--out", str(tmp_path / target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]
+    assert list((tmp_path / "d").iterdir()) == []
 
 
 def test_verify_passes(capsys):
@@ -177,6 +193,30 @@ def test_verify_passes(capsys):
     assert "verify: 8/8 checks passed" in out
     assert out.count("PASS") == 8
     assert "6749977113" in out
+
+
+def test_verify_times_go_to_stderr(capsys):
+    code = main(["verify", "--r-max", "5"])
+    captured = capsys.readouterr()
+    assert code == 0
+    # stdout of `hypermaps verify --r-max 5` before the timings were added
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+        "c8d96e7ca2f0fc9f2e6ec9f352050b6030babca71b803754430bffced2c5e493"
+    )
+    timed = [line.split(":")[0] for line in captured.err.splitlines()]
+    assert timed == [
+        f"time {name}"
+        for name in (
+            "base-cases",
+            "method-agreement",
+            "totals",
+            "stirling-marginal",
+            "symmetry-parity",
+            "certificate",
+            "quantum-moments",
+            "two-face",
+        )
+    ]
 
 
 def test_verify_default_range_passes(capsys):
@@ -240,3 +280,16 @@ def test_poly_range_recursion_golden():
     assert hashlib.sha256(out).hexdigest() == (
         "c6fb6382cc5d8bb6c42a675cb51fdcc9e5906d1efbe93744647b0c1ce6e29cc8"
     )
+
+
+def test_two_face_table_golden():
+    # pins the two-face route byte for byte, pooled and serial: stdout of
+    # `hypermaps table --r-min 2 --r-max 8 --faces 2 --format csv`
+    for threads in ("1", "2"):
+        out = _subprocess_out(
+            "table", "--r-min", "2", "--r-max", "8", "--faces", "2", "--format", "csv",
+            "--threads", threads,
+        )
+        assert hashlib.sha256(out).hexdigest() == (
+            "0fb074fd936a41fc061f5df7eafac900a670301923d744cb465324b7275cd460"
+        )

@@ -128,3 +128,14 @@ def test_euler_violation_is_detected():
     # non-integral genus: parity off by one
     with pytest.raises(EulerViolation):
         _genus_from_poly(4, 1, BivarPoly({(2, 2): 1}))
+
+
+def test_conjugate_face_shapes_have_equal_histograms():
+    # [a, b] and [b, a] are conjugate in Sym_r, which the two-face routes rely on
+    for r in range(2, 8):
+        for b in range(1, r):
+            a = r - b
+            for connected_only in (False, True):
+                assert cycle_pair_counts([a, b], connected_only=connected_only) == (
+                    cycle_pair_counts([b, a], connected_only=connected_only)
+                )

@@ -1,7 +1,8 @@
 import pytest
 
-from hypermaps.polynomial import BivarPoly
-from hypermaps.enumeration import LimitExceeded
+from hypermaps import two_face
+from hypermaps.polynomial import BivarPoly, NotDivisible
+from hypermaps.enumeration import LimitExceeded, cycle_pair_counts
 from hypermaps.two_face import (
     TwoFaceResult,
     connected_two_face_oracle,
@@ -72,6 +73,44 @@ def test_euler_parity_with_two_faces():
 
 def test_parallel_matches_serial():
     assert two_face_gf(6, workers=3).gf == two_face_gf(6).gf
+    # the shards of all three splits of r = 7 share one pool
+    assert two_face_gf(7, workers=2).gf == two_face_gf(7).gf
+    assert connected_two_face_oracle(7, workers=2) == connected_two_face_oracle(7)
+
+
+def _ordered_split_reference(r):
+    # every ordered split [r - b, b], each enumerated, divided by b
+    gf = BivarPoly.zero()
+    for b in range(1, r):
+        counts = cycle_pair_counts([r - b, b], connected_only=True)
+        gf = gf + BivarPoly(counts).exact_div(b)
+    return gf
+
+
+def test_unordered_splits_match_ordered_split_reference():
+    for r in range(2, 8):
+        reference = _ordered_split_reference(r)
+        assert two_face_gf(r).gf == reference
+        assert connected_two_face_oracle(r) == reference
+
+
+@pytest.mark.parametrize("offset, divisor", [(1, 2), (2, 3)])
+def test_corrupted_split_is_caught(monkeypatch, offset, divisor):
+    # adds offset to one coefficient of the histogram of split [3, 2]: +1 fails
+    # the division by b = 2; +2 passes it and fails the one by a = 3
+    real = two_face._shape_counts
+
+    def corrupted(shapes, connected_only, workers):
+        histograms = real(shapes, connected_only, workers)
+        counts = histograms[shapes.index([3, 2])]
+        counts[min(counts)] += offset
+        return histograms
+
+    monkeypatch.setattr(two_face, "_shape_counts", corrupted)
+    for route in (lambda: two_face_gf(5).gf, lambda: connected_two_face_oracle(5)):
+        with pytest.raises(NotDivisible) as info:
+            route()
+        assert info.value.divisor == divisor
 
 
 def test_guards():
