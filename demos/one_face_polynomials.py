@@ -9,7 +9,7 @@ three-term recurrence.
 
 from math import factorial
 
-from hypermaps import closed_form, enumeration, recursion
+from hypermaps import cli, closed_form, enumeration, recursion
 
 print("the first six generating polynomials (closed form):")
 for r, poly in recursion.stream(6):
@@ -34,5 +34,5 @@ for r in range(1, 8):
 
 print()
 print("coefficient table for r = 4 (rows: r, e, v, count):")
-for row in enumeration.coefficient_table(4, faces=1).rows:
+for row in cli.rows_for_poly(4, enumeration.one_face_poly(4)):
     print("  ", row)

@@ -21,9 +21,5 @@ for r in range(1, 9):
 
 print()
 print("stepping the recurrence from the two base cases:")
-state = recursion.initial_state()
-print(f"  r=1:  {state.p_prev}")
-print(f"  r=2:  {state.p_curr}")
-for _ in range(4):
-    state = recursion.step(state)
-    print(f"  r={state.r_current}:  {state.p_curr}")
+for r, poly in recursion.stream(6):
+    print(f"  r={r}:  {poly}")

@@ -7,91 +7,9 @@ sum, and a three-term recurrence with a verifiable telescoping certificate.
 Includes the Stirling-number and quantum mean-trace-power specializations.
 All arithmetic is exact: big integers, exact rationals, sparse integer
 polynomials.
+
+The package re-exports nothing; import the submodules (polynomial,
+enumeration, closed_form, recursion, two_face, cli) directly.
 """
 
-from .polynomial import (
-    M,
-    N,
-    BivarPoly,
-    NotDivisible,
-    ZeroDenominator,
-    reduced_fraction,
-)
-from .permutations import (
-    CycleProfile,
-    LengthMismatch,
-    Permutation,
-    heap_permutations,
-    is_transitive,
-)
-from .enumeration import (
-    DEFAULT_ENUM_CEILING,
-    CoeffTable,
-    EulerViolation,
-    LimitExceeded,
-    coefficient_table,
-    cycle_pair_counts,
-    face_shape_poly,
-    genus_table,
-)
-from .closed_form import (
-    RisingFactorial,
-    avg_trace_power,
-    avg_trace_power_alt,
-    rising_ratio,
-    stirling_row,
-)
-from .recursion import (
-    RecurrenceState,
-    certificate_bracket,
-    telescoping_check,
-    verify_certificate,
-)
-from .two_face import (
-    TwoFaceResult,
-    connected_two_face_oracle,
-    two_face_gf,
-    two_face_total,
-)
-from . import closed_form, enumeration, recursion, two_face
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "M",
-    "N",
-    "BivarPoly",
-    "NotDivisible",
-    "ZeroDenominator",
-    "reduced_fraction",
-    "CycleProfile",
-    "LengthMismatch",
-    "Permutation",
-    "heap_permutations",
-    "is_transitive",
-    "DEFAULT_ENUM_CEILING",
-    "CoeffTable",
-    "EulerViolation",
-    "LimitExceeded",
-    "coefficient_table",
-    "cycle_pair_counts",
-    "face_shape_poly",
-    "genus_table",
-    "RisingFactorial",
-    "avg_trace_power",
-    "avg_trace_power_alt",
-    "rising_ratio",
-    "stirling_row",
-    "RecurrenceState",
-    "certificate_bracket",
-    "telescoping_check",
-    "verify_certificate",
-    "TwoFaceResult",
-    "connected_two_face_oracle",
-    "two_face_gf",
-    "two_face_total",
-    "closed_form",
-    "enumeration",
-    "recursion",
-    "two_face",
-]

@@ -92,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, methods=True, faces=True, ranged=True):
+    # each subcommand gets only the flags its handler reads
+    def common(p, methods=True, faces=True, ranged=True, formats=True, enumerates=True):
         if ranged:
             p.add_argument("--r", type=int, help="single number of darts")
             p.add_argument("--r-min", type=int, help="start of a dart range")
@@ -106,11 +107,13 @@ def build_parser() -> argparse.ArgumentParser:
                 help="construction to use (default: closed for a single r, "
                 "recursion for a range; two-face output always enumerates)",
             )
-        p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+        if formats:
+            p.add_argument("--format", choices=("text", "csv", "json"), default="text")
         p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-        p.add_argument("--threads", default="1", help="worker processes for enumeration, or 'auto'")
-        p.add_argument("--enum-ceiling", type=int, default=DEFAULT_ENUM_CEILING)
-        p.add_argument("--force", action="store_true", help="ignore the enumeration ceiling")
+        if enumerates:
+            p.add_argument("--threads", default="1", help="worker processes for enumeration, or 'auto'")
+            p.add_argument("--enum-ceiling", type=int, default=DEFAULT_ENUM_CEILING)
+            p.add_argument("--force", action="store_true", help="ignore the enumeration ceiling")
 
     p_poly = sub.add_parser("poly", help="print a generating polynomial")
     common(p_poly)
@@ -119,23 +122,23 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_table)
 
     p_count = sub.add_parser("count", help="total number of maps for given darts")
-    common(p_count, methods=False)
+    common(p_count, methods=False, enumerates=False)
 
     p_stirling = sub.add_parser("stirling", help="unsigned Stirling numbers of the first kind")
-    common(p_stirling, methods=False, faces=False)
+    common(p_stirling, methods=False, faces=False, enumerates=False)
 
     p_avg = sub.add_parser("avg-trace", help="exact mean trace power of a random reduced state")
     p_avg.add_argument("--m", type=int, required=True, help="dimension of the subsystem kept by the partial trace")
     p_avg.add_argument("--n", type=int, required=True, help="dimension of the subsystem traced out")
-    common(p_avg, methods=False, faces=False, ranged=False)
+    common(p_avg, methods=False, faces=False, ranged=False, enumerates=False)
     p_avg.add_argument("--r", type=int, required=True, help="trace power")
 
     p_verify = sub.add_parser("verify", help="run the cross-validation suite")
-    common(p_verify, methods=False, faces=False, ranged=False)
+    common(p_verify, methods=False, faces=False, ranged=False, formats=False)
     p_verify.add_argument("--r-max", type=int, default=9, help="top of the method-agreement range")
 
     p_bench = sub.add_parser("bench", help="time the constructions (CSV)")
-    common(p_bench)
+    common(p_bench, faces=False)
     p_bench.add_argument("--reps", type=int, default=5, help="timed repetitions (median reported)")
 
     return parser

@@ -16,7 +16,6 @@ powers of a random bipartite reduced density operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, List, Tuple
@@ -24,23 +23,11 @@ from typing import Dict, List, Tuple
 from .polynomial import BivarPoly
 
 
-@dataclass(frozen=True)
-class RisingFactorial:
-    """Expanded form of the monic degree-r product (x-k)(x-k+1)...(x-k+r-1)."""
-
-    base_shift: int  # k
-    length: int  # r
-    coeffs: Tuple[int, ...]  # coeffs[i] is the coefficient of x^i
-
-    def eval_at(self, x0: int) -> int:
-        total = 0
-        for i, c in enumerate(self.coeffs):
-            total += c * x0 ** i
-        return total
-
-
-def rising_ratio(k: int, r: int) -> RisingFactorial:
+def rising_ratio(k: int, r: int) -> Tuple[int, ...]:
     """The length-r rising product starting at x-k, expanded in powers of x.
+
+    Returns the coefficients of the monic degree-r product
+    (x-k)(x-k+1)...(x-k+r-1), lowest power first: entry i is that of x^i.
 
     This is the polynomial identity behind the quotient gamma(x+r-k)/gamma(x-k):
     valid at every integer substitution, including x <= k where the quotient
@@ -58,7 +45,7 @@ def rising_ratio(k: int, r: int) -> RisingFactorial:
             nxt[i + 1] += c
             nxt[i] += c * shift
         coeffs = nxt
-    return RisingFactorial(k, r, tuple(coeffs))
+    return tuple(coeffs)
 
 
 def one_face_poly(r: int) -> BivarPoly:
@@ -75,7 +62,7 @@ def one_face_poly(r: int) -> BivarPoly:
         weight = comb(r - 1, k)
         if k & 1:
             weight = -weight
-        cm = rising_ratio(k, r).coeffs
+        cm = rising_ratio(k, r)
         cn = cm  # the m and n factors share the same expansion
         for e, a in enumerate(cm):
             if a == 0:
@@ -100,8 +87,7 @@ def stirling_row(r: int) -> List[int]:
     list is read off the expansion of m(m+1)...(m+r-1), whose constant term
     is zero.
     """
-    coeffs = rising_ratio(0, r).coeffs
-    return list(coeffs[1:])
+    return list(rising_ratio(0, r)[1:])
 
 
 def _rising_value(x: int, length: int) -> int:

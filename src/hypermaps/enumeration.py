@@ -17,6 +17,8 @@ This is O(r * r!) work, which is exactly why it is trustworthy: each sigma is
 visited once by Heap's algorithm and its two cycle counts are recomputed from
 scratch, with no incremental cleverness to get wrong.  It is the ground truth
 that the polynomial-time closed form and the recurrence are checked against.
+The Heap kernel (_heap_raw) and the transitivity test (_orbit_size) live
+here, in the only module that walks permutations.
 
 Work can be split into r independent shards by the image of dart 0; shards
 are merged by coefficient addition, so parallel and serial runs produce
@@ -27,11 +29,9 @@ share one process pool.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .polynomial import BivarPoly
-from .permutations import _heap_raw, _orbit_size
 
 #: Largest r enumerated without an explicit override; r=13 is about 6.2e9
 #: permutations.  At the measured serial rate of 3.2-3.6 us per permutation
@@ -60,21 +60,6 @@ class EulerViolation(RuntimeError):
     """A hypermap's genus came out negative or non-integral (a bug signal)."""
 
 
-@dataclass(frozen=True)
-class CoeffTable:
-    """Rows (r, e, v, count), sorted by (r, e descending, v descending)."""
-
-    rows: Tuple[Tuple[int, int, int, int], ...]
-
-    @classmethod
-    def from_polys(cls, polys: Sequence[Tuple[int, BivarPoly]]) -> "CoeffTable":
-        rows = []
-        for r, poly in sorted(polys, key=lambda p: p[0]):
-            for (e, v), c in poly.sorted_terms():
-                rows.append((r, e, v, c))
-        return cls(tuple(rows))
-
-
 def _check_ceiling(r: int, ceiling: Optional[int]):
     if r < 1:
         raise ValueError(f"r must be a positive integer, got {r}")
@@ -97,6 +82,48 @@ def _xi_table(lengths: Sequence[int]) -> Tuple[int, ...]:
         xi.extend(offset + ((i + 1) % length) for i in range(length))
         offset += length
     return tuple(xi)
+
+
+def _heap_raw(a: List[int], start: int = 0) -> Iterator[List[int]]:
+    """Heap's algorithm over a[start:], yielding the SAME list after each swap.
+
+    The first yield is the list in its initial order.  Callers must not store
+    the yielded object; it is mutated in place.  Iterative form with an
+    explicit counter array, so the stream can be consumed lazily.
+    """
+    yield a
+    k = len(a) - start
+    c = [0] * k
+    i = 1
+    while i < k:
+        if c[i] < i:
+            if i % 2 == 0:
+                a[start], a[start + i] = a[start + i], a[start]
+            else:
+                a[start + c[i]], a[start + i] = a[start + i], a[start + c[i]]
+            yield a
+            c[i] += 1
+            i = 1
+        else:
+            c[i] = 0
+            i += 1
+
+
+def _orbit_size(image_rows: Sequence[Sequence[int]], r: int) -> int:
+    """Size of the orbit of point 0 under the given image tables (BFS)."""
+    seen = bytearray(r)
+    seen[0] = 1
+    stack = [0]
+    count = 1
+    while stack:
+        i = stack.pop()
+        for row in image_rows:
+            j = row[i]
+            if not seen[j]:
+                seen[j] = 1
+                count += 1
+                stack.append(j)
+    return count
 
 
 def _count_shard(
@@ -214,34 +241,6 @@ def one_face_poly(
     return BivarPoly(counts)
 
 
-def face_shape_poly(
-    lengths: Sequence[int],
-    *,
-    ceiling: Optional[int] = DEFAULT_ENUM_CEILING,
-    workers: int = 1,
-) -> BivarPoly:
-    """Permutation sum for a face permutation with the given cycle lengths.
-
-    Unlike the one-face case this includes disconnected diagrams: every sigma
-    in Sym_r contributes, whether or not its joint action with xi is
-    transitive.  For lengths [r] it coincides with one_face_poly(r), and its
-    value at (1, 1) is always r!.
-    """
-    counts = cycle_pair_counts(lengths, ceiling=ceiling, workers=workers)
-    return BivarPoly(counts)
-
-
-def coefficient_table(
-    r: int,
-    faces: int = 1,
-    *,
-    ceiling: Optional[int] = DEFAULT_ENUM_CEILING,
-    workers: int = 1,
-) -> CoeffTable:
-    """Counts of rooted hypermaps with r darts grouped by (edges, vertices)."""
-    return CoeffTable.from_polys([(r, _poly_for_faces(r, faces, ceiling, workers))])
-
-
 def genus_table(
     r: int,
     faces: int = 1,
@@ -255,7 +254,15 @@ def genus_table(
     enumerated map must give a nonnegative integer g; anything else raises
     EulerViolation, since it can only mean the enumeration itself is broken.
     """
-    return _genus_from_poly(r, faces, _poly_for_faces(r, faces, ceiling, workers))
+    if faces == 1:
+        poly = one_face_poly(r, ceiling=ceiling, workers=workers)
+    elif faces == 2:
+        from .two_face import two_face_gf  # deferred: two_face builds on this module
+
+        poly = two_face_gf(r, ceiling=ceiling, workers=workers).gf
+    else:
+        raise ValueError(f"faces must be 1 or 2, got {faces}")
+    return _genus_from_poly(r, faces, poly)
 
 
 def _genus_from_poly(r: int, faces: int, poly: BivarPoly) -> Dict[int, int]:
@@ -270,12 +277,3 @@ def _genus_from_poly(r: int, faces: int, poly: BivarPoly) -> Dict[int, int]:
         out[g] = out.get(g, 0) + c
     return dict(sorted(out.items()))
 
-
-def _poly_for_faces(r: int, faces: int, ceiling: Optional[int], workers: int) -> BivarPoly:
-    if faces == 1:
-        return one_face_poly(r, ceiling=ceiling, workers=workers)
-    if faces == 2:
-        from .two_face import two_face_gf  # deferred: two_face builds on this module
-
-        return two_face_gf(r, ceiling=ceiling, workers=workers).gf
-    raise ValueError(f"faces must be 1 or 2, got {faces}")

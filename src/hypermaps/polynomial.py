@@ -15,7 +15,6 @@ Values are immutable after construction and safe to share between workers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
 ExponentPair = Tuple[int, int]
@@ -38,17 +37,6 @@ class NotDivisible(ArithmeticError):
         self.v = v
         self.coeff = coeff
         self.divisor = divisor
-
-
-class ZeroDenominator(ZeroDivisionError):
-    """Rational construction was asked for a zero denominator."""
-
-
-def reduced_fraction(num: int, den: int) -> Fraction:
-    """Exact rational num/den in lowest terms with a positive denominator."""
-    if den == 0:
-        raise ZeroDenominator(f"denominator of {num}/0 is zero")
-    return Fraction(num, den)
 
 
 class BivarPoly:
@@ -89,16 +77,7 @@ class BivarPoly:
     def constant(cls, c: int) -> "BivarPoly":
         return cls({(0, 0): c})
 
-    @classmethod
-    def monomial(cls, e: int, v: int, coeff: int = 1) -> "BivarPoly":
-        return cls({(e, v): coeff})
-
     # basic protocol -------------------------------------------------------
-
-    @property
-    def terms(self) -> TermMap:
-        """Copy of the term map (the instance itself stays immutable)."""
-        return dict(self._terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("BivarPoly is immutable")
@@ -137,9 +116,6 @@ class BivarPoly:
             else:
                 out.pop(ev, None)
         return _wrap(out)
-
-    def __neg__(self) -> "BivarPoly":
-        return _wrap({ev: -c for ev, c in self._terms.items()})
 
     def __sub__(self, other: "BivarPoly") -> "BivarPoly":
         if not isinstance(other, BivarPoly):
@@ -265,7 +241,5 @@ def _wrap(terms: TermMap) -> BivarPoly:
 
 
 #: The formal variables, m counting edges and n counting vertices.
-M = BivarPoly.monomial(1, 0)
-N = BivarPoly.monomial(0, 1)
-ONE = BivarPoly.constant(1)
-ZERO = BivarPoly.zero()
+M = BivarPoly({(1, 0): 1})
+N = BivarPoly({(0, 1): 1})

@@ -40,7 +40,6 @@ sides by (r+2)! so no rational polynomial type is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Tuple
 
@@ -53,29 +52,6 @@ _P2 = BivarPoly({(2, 1): 1, (1, 2): 1})
 _Rows = List[List[int]]
 #: Exponent pairs (i, d - i), i = 1..d-1, of the terms of total degree d.
 _KeyCache = Dict[int, List[Tuple[int, int]]]
-
-
-@dataclass(frozen=True)
-class RecurrenceState:
-    """A consecutive pair of generating polynomials, ready to be advanced."""
-
-    r_current: int
-    p_prev: BivarPoly  # polynomial for r_current - 1 darts
-    p_curr: BivarPoly  # polynomial for r_current darts
-
-
-def initial_state() -> RecurrenceState:
-    """State holding the base cases, one and two darts."""
-    return RecurrenceState(2, _P1, _P2)
-
-
-def step(state: RecurrenceState) -> RecurrenceState:
-    """Advance one dart: produce the polynomial for r_current + 1 darts."""
-    s = state.r_current
-    if s < 2:
-        raise ValueError(f"state at r_current={s} cannot be advanced")
-    rows = _advance(s + 1, _to_rows(state.p_curr, s), _to_rows(state.p_prev, s - 1))
-    return RecurrenceState(s + 1, state.p_curr, _to_poly(rows, s + 1, {}))
 
 
 def stream(r_max: int):
@@ -114,17 +90,6 @@ def _advance(s: int, a_rows: _Rows, b_rows: _Rows) -> _Rows:
             row.append(q)
         out.append(row)
     return out
-
-
-def _to_rows(poly: BivarPoly, s: int) -> _Rows:
-    """Genus rows of a polynomial in s darts; ValueError if a term does not fit."""
-    rows: _Rows = [[0] * (s - 2 * g) for g in range((s + 1) // 2)]
-    for (e, v), c in poly.terms.items():
-        g, odd = divmod(s + 1 - e - v, 2)
-        if odd or g < 0 or e < 1 or v < 1:
-            raise ValueError(f"term m^{e}*n^{v} does not fit a polynomial in {s} darts")
-        rows[g][e - 1] = c
-    return rows
 
 
 def _to_poly(rows: _Rows, s: int, keys: _KeyCache) -> BivarPoly:
@@ -178,7 +143,7 @@ def certificate_bracket(r: int, k: int) -> BivarPoly:
 
 def _rf_bivar(k: int, length: int, in_m: bool) -> BivarPoly:
     """Rising product of the given length starting at (m or n) - k, as a BivarPoly."""
-    coeffs = rising_ratio(k, length).coeffs
+    coeffs = rising_ratio(k, length)
     if in_m:
         return BivarPoly({(i, 0): c for i, c in enumerate(coeffs) if c})
     return BivarPoly({(0, i): c for i, c in enumerate(coeffs) if c})

@@ -2,10 +2,10 @@
 
 A two-face diagram with r darts splits the face permutation into two loops of
 lengths a and b with a + b = r.  The plain permutation sum over Sym_r for
-that split (face_shape_poly) over-counts in two ways: it includes diagrams
-where the two loops never get joined (disconnected, hence not a hypermap),
-and it counts each connected diagram b times, once per cyclic shift of the
-unrooted second loop.  So for each split the disconnected part, which is
+that split (the histogram enumeration.cycle_pair_counts([a, b])) over-counts
+in two ways: it includes diagrams where the two loops never get joined
+(disconnected, hence not a hypermap), and it counts each connected diagram
+b times, once per cyclic shift of the unrooted second loop.  So for each split the disconnected part, which is
 exactly the product of the two one-face polynomials, is subtracted, the
 difference is divided by b, and the splits b = 1..r-1 are summed.
 

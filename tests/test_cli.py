@@ -165,6 +165,27 @@ def test_bad_range_exit_code(capsys):
     assert main(["poly"]) == 2
 
 
+def test_unread_options_are_rejected(capsys):
+    # each subcommand takes only the flags its handler reads, so no flag is
+    # accepted and then ignored (bench --faces 2 would print a one-face count)
+    rejected = [
+        [*base, *flag]
+        for base in (
+            ["count", "--r", "3"],
+            ["stirling", "--r", "3"],
+            ["avg-trace", "--m", "2", "--n", "2", "--r", "2"],
+        )
+        for flag in (["--threads", "2"], ["--enum-ceiling", "5"], ["--force"])
+    ]
+    rejected += [["verify", "--format", "json"], ["bench", "--r", "5", "--faces", "2"]]
+    assert len(rejected) == 11
+    for argv in rejected:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "p.txt"
     code, out = run_cli(capsys, "poly", "--r", "2", "--out", str(target))

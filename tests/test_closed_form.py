@@ -13,24 +13,29 @@ from hypermaps.closed_form import (
 from hypermaps.polynomial import BivarPoly
 
 
+def _value(coeffs, x):
+    'the expanded polynomial with coefficients coeffs (lowest power first) at x'
+    return sum(c * x ** i for i, c in enumerate(coeffs))
+
+
 def test_rising_ratio_expansions():
     # x(x+1)(x+2) = x^3 + 3x^2 + 2x
-    assert rising_ratio(0, 3).coeffs == (0, 2, 3, 1)
+    assert rising_ratio(0, 3) == (0, 2, 3, 1)
     # single factor x - 2
-    assert rising_ratio(2, 1).coeffs == (-2, 1)
+    assert rising_ratio(2, 1) == (-2, 1)
 
 
 def test_rising_ratio_vanishing_factor():
     'the factor (x-1) of the k=1 product kills the value at x=1'
-    assert rising_ratio(1, 2).eval_at(1) == 0
+    assert _value(rising_ratio(1, 2), 1) == 0
 
 
 def test_rising_ratio_is_monic_of_degree_r():
     for k in range(0, 4):
         for r in range(1, 7):
-            rf = rising_ratio(k, r)
-            assert len(rf.coeffs) == r + 1
-            assert rf.coeffs[-1] == 1
+            coeffs = rising_ratio(k, r)
+            assert len(coeffs) == r + 1
+            assert coeffs[-1] == 1
 
 
 def test_rising_ratio_matches_factorial_quotient_where_defined():
@@ -39,7 +44,7 @@ def test_rising_ratio_matches_factorial_quotient_where_defined():
         for r in range(1, 6):
             for x in range(k + 1, k + 6):
                 expected = math.factorial(x + r - k - 1) // math.factorial(x - k - 1)
-                assert rising_ratio(k, r).eval_at(x) == expected
+                assert _value(rising_ratio(k, r), x) == expected
 
 
 def test_base_cases():
@@ -67,7 +72,7 @@ def test_symmetric_in_m_and_n():
 def test_marginal_at_n_1_is_the_rising_factorial():
     for r in range(1, 10):
         marginal = closed_form.one_face_poly(r).substitute_n(1)
-        coeffs = rising_ratio(0, r).coeffs
+        coeffs = rising_ratio(0, r)
         assert marginal == {e: c for e, c in enumerate(coeffs) if c}
 
 

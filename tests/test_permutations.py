@@ -1,142 +1,57 @@
+"""The permutation walk under the enumeration: Heap's algorithm and the orbit test.
+
+Both live in hypermaps.enumeration as _heap_raw and _orbit_size.  _heap_raw
+yields one list, mutated in place, so each order is copied as it is seen.
+"""
+
 import math
-import random
 
-import pytest
+from hypermaps.enumeration import _heap_raw, _orbit_size
 
-from hypermaps.permutations import (
-    CycleProfile,
-    LengthMismatch,
-    Permutation,
-    heap_permutations,
-    is_transitive,
-)
+
+def heap_sequence(a, start=0):
+    return [tuple(perm) for perm in _heap_raw(a, start)]
 
 
 def test_heap_counts_and_uniqueness():
-    'heap_permutations(r) yields exactly r! distinct permutations for r <= 8'
+    'the kernel yields exactly r! distinct orders for r <= 8, the first unchanged'
     for r in range(1, 9):
-        seen = {p.images for p in heap_permutations(r)}
-        assert len(seen) == math.factorial(r)
+        seq = heap_sequence(list(range(r)))
+        assert len(seq) == len(set(seq)) == math.factorial(r)
+        assert seq[0] == tuple(range(r))
+
+
+def test_heap_shard_keeps_first_entry():
+    'with start=1 the kernel walks the (r-1)! orders of a[1:] and never moves a[0]'
+    for r in range(1, 9):
+        first = r - 1
+        a = [first] + [x for x in range(r) if x != first]
+        seq = heap_sequence(a, start=1)
+        assert len(seq) == len(set(seq)) == math.factorial(r - 1)
+        assert all(perm[0] == first for perm in seq)
 
 
 def test_heap_r1_is_identity():
-    assert list(heap_permutations(1)) == [Permutation([0])]
-
-
-def test_heap_rejects_nonpositive_r():
-    with pytest.raises(ValueError):
-        next(heap_permutations(0))
+    assert heap_sequence([0]) == [(0,)]
 
 
 def test_heap_r3_all_distinct():
-    perms = list(heap_permutations(3))
-    assert len(perms) == 6
-    assert len(set(perms)) == 6
-
-
-def test_heap_order_is_deterministic():
-    assert [p.images for p in heap_permutations(4)] == [
-        p.images for p in heap_permutations(4)
+    # Heap's sequence of single transpositions, pinned for r = 3
+    assert heap_sequence([0, 1, 2]) == [
+        (0, 1, 2), (1, 0, 2), (2, 0, 1), (0, 2, 1), (1, 2, 0), (2, 1, 0)
     ]
 
 
-def test_compose_with_inverse_is_identity():
-    xi = Permutation.full_cycle(5)
-    assert xi * xi.inverse() == Permutation.identity(5)
-
-
-def test_transposition_is_involution():
-    t = Permutation([1, 0])
-    assert t * t == Permutation.identity(2)
-
-
-def test_compose_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        Permutation.identity(3) * Permutation.identity(4)
-
-
-def test_seven_dart_diagram_example():
-    # sigma with cycles (1 4 5 3)(2)(6 7): composing the full cycle after it
-    # leaves 3 loops, i.e. the m^3*n^3 diagram
-    sigma = Permutation.from_cycle_string("(1 4 5 3)(2)(6 7)")
-    assert len(sigma) == 7
-    assert sigma.cycle_profile() == CycleProfile(3, (1, 2, 4))
-    xi = Permutation.full_cycle(7)
-    assert (xi * sigma).cycle_profile().cycle_count == 3
-
-
-def test_cycle_profile_identity_and_full_cycle():
-    assert Permutation.identity(5).cycle_profile() == CycleProfile(5, (1, 1, 1, 1, 1))
-    for r in (1, 2, 6):
-        assert Permutation.full_cycle(r).cycle_profile().cycle_count == 1
-
-
-def test_cycle_profile_lengths_sum_to_r():
-    rng = random.Random(20260809)
-    for r in range(1, 10):
-        for _ in range(20):
-            images = list(range(r))
-            rng.shuffle(images)
-            profile = Permutation(images).cycle_profile()
-            assert sum(profile.cycle_lengths) == r
-            assert profile.cycle_count == len(profile.cycle_lengths)
-
-
-def test_conjugation_preserves_cycle_profile():
-    rng = random.Random(7)
-    r = 8
-    for _ in range(50):
-        p_img = list(range(r))
-        t_img = list(range(r))
-        rng.shuffle(p_img)
-        rng.shuffle(t_img)
-        p, tau = Permutation(p_img), Permutation(t_img)
-        assert (tau * p * tau.inverse()).cycle_profile() == p.cycle_profile()
-
-
-def test_compose_is_associative():
-    rng = random.Random(11)
-    r = 7
-    for _ in range(30):
-        imgs = []
-        for _ in range(3):
-            img = list(range(r))
-            rng.shuffle(img)
-            imgs.append(Permutation(img))
-        p, q, s = imgs
-        assert (p * q) * s == p * (q * s)
-
-
-def test_cycle_string_round_trip():
-    s = "(1 4 5 3)(2)(6 7)"
-    assert Permutation.from_cycle_string(s).to_cycle_string() == s
-    assert Permutation.identity(3).to_cycle_string() == "(1)(2)(3)"
-    assert Permutation.full_cycle(4).to_cycle_string() == "(1 2 3 4)"
-    # commas and omitted fixed points are accepted on input
-    assert Permutation.from_cycle_string("(1,4,5,3)(6,7)", r=7) == Permutation.from_cycle_string(s)
-
-
-def test_cycle_string_rejects_garbage():
-    with pytest.raises(ValueError):
-        Permutation.from_cycle_string("(1 2")
-    with pytest.raises(ValueError):
-        Permutation.from_cycle_string("(0 1)")
-    with pytest.raises(ValueError):
-        Permutation.from_cycle_string("(1 2)(2 3)")
-
-
-def test_not_a_bijection_rejected():
-    with pytest.raises(ValueError):
-        Permutation([0, 0, 1])
-    with pytest.raises(ValueError):
-        Permutation([])
+def test_heap_order_is_deterministic():
+    assert heap_sequence(list(range(4))) == heap_sequence(list(range(4)))
 
 
 def test_is_transitive():
     for r in (1, 2, 5, 9):
-        assert is_transitive([Permutation.full_cycle(r)], r)
-    assert not is_transitive([Permutation.identity(2)], 2)
+        full_cycle = [(i + 1) % r for i in range(r)]
+        assert _orbit_size([full_cycle], r) == r
+    assert _orbit_size([[0, 1]], 2) == 1
     # two fixed-point loops joined by a transposition: connected
-    assert is_transitive([Permutation.identity(2), Permutation([1, 0])], 2)
-    with pytest.raises(LengthMismatch):
-        is_transitive([Permutation.identity(3)], 4)
+    assert _orbit_size([[0, 1], [1, 0]], 2) == 2
+    # the face shape [2, 1] alone leaves dart 2 unreached
+    assert _orbit_size([[1, 0, 2]], 3) == 2

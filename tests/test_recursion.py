@@ -3,10 +3,9 @@ import pytest
 from hypermaps import closed_form, enumeration, recursion
 from hypermaps.polynomial import M, N, BivarPoly, NotDivisible
 from hypermaps.recursion import (
-    RecurrenceState,
+    _advance,
+    _to_poly,
     certificate_bracket,
-    initial_state,
-    step,
     stream,
     telescoping_check,
     verify_certificate,
@@ -17,21 +16,12 @@ P2 = BivarPoly({(2, 1): 1, (1, 2): 1})
 P3 = BivarPoly({(3, 1): 1, (2, 2): 3, (1, 3): 1, (1, 1): 1})
 
 
-def test_initial_state():
-    state = initial_state()
-    assert state.p_prev == P1
-    assert state.p_curr == P2
-    assert state.r_current == 2
-
-
 def test_step_produces_three_darts():
-    assert step(initial_state()).p_curr == P3
+    assert dict(stream(3))[3] == P3
 
 
 def test_two_steps_produce_four_darts():
-    state = step(step(initial_state()))
-    assert state.r_current == 4
-    assert state.p_curr.eval_at(1, 1) == 24
+    assert dict(stream(4))[4].eval_at(1, 1) == 24
 
 
 def test_recursion_matches_closed_form_to_twenty():
@@ -61,46 +51,32 @@ def test_one_face_poly_entry_points():
 
 
 def test_step_division_always_exact():
-    state = initial_state()
-    for _ in range(30):
-        state = step(state)  # raises NotDivisible if the recurrence breaks
-    assert state.r_current == 32
+    # every division by r+3 up to 32 darts is exact, or stream raises NotDivisible
+    assert [r for r, _ in stream(32)][-1] == 32
 
 
 def test_invalid_state_rejected():
-    bad = RecurrenceState(1, P1, P1)
-    with pytest.raises(ValueError):
-        step(bad)
     with pytest.raises(ValueError):
         recursion.one_face_poly(0)
 
 
 def test_corrupted_state_is_caught():
-    # a state pair that no generating polynomials can produce trips the
-    # exact-division safety net within a few steps
-    bad = RecurrenceState(2, BivarPoly({(1, 1): 1}), BivarPoly({(2, 1): 1}))
+    # rows that no generating polynomials can produce trip the exact-division
+    # safety net within a few steps: P_1 = m*n with a corrupted P_2 = m^2*n
+    prev, curr = [[1]], [[0, 1]]
     with pytest.raises(NotDivisible) as caught:
-        s = bad
-        for _ in range(5):
-            s = step(s)
-    # s is the state whose step failed; the error names the divisor r+3 and
-    # a term whose undivided coefficient matches the generic products
-    err, r = caught.value, s.r_current - 1
+        for s in range(3, 8):
+            prev, curr = curr, _advance(s, curr, prev)
+    # the step to s darts failed, so curr and prev still hold P_{s-1} and
+    # P_{s-2}; the error names the divisor r+3 and a term whose undivided
+    # coefficient matches the generic products
+    err, r = caught.value, s - 2
     assert err.divisor == r + 3
-    rhs = (2 * r + 3) * (M + N) * s.p_curr + r * (
+    rhs = (2 * r + 3) * (M + N) * _to_poly(curr, s - 1, {}) + r * (
         BivarPoly.constant((r + 1) ** 2) - (M - N) ** 2
-    ) * s.p_prev
+    ) * _to_poly(prev, s - 2, {})
     assert rhs.coefficient(err.e, err.v) == err.coeff
     assert err.coeff % err.divisor
-
-
-def test_step_rejects_term_outside_genus_layout():
-    # m^2*n^2 has e + v = 4, which no polynomial in one dart has; the step
-    # must refuse it instead of dropping it
-    with pytest.raises(ValueError):
-        step(RecurrenceState(2, BivarPoly({(2, 2): 1}), P2))
-    with pytest.raises(ValueError):
-        step(RecurrenceState(2, P1, BivarPoly({(2, 0): 1})))
 
 
 def test_certificate_bracket_spot_values():
@@ -140,12 +116,6 @@ def test_certificate_exhaustive_small_range():
 def test_telescoping():
     for r in (1, 2, 6):
         assert telescoping_check(r)
-
-
-def test_state_is_frozen():
-    state = initial_state()
-    with pytest.raises(AttributeError):
-        state.r_current = 5
 
 
 def test_validation():
