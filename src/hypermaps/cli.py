@@ -25,15 +25,19 @@ from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .polynomial import BivarPoly, NotDivisible
-from .enumeration import (
-    DEFAULT_ENUM_CEILING,
-    EulerViolation,
-    LimitExceeded,
-    cycle_pair_counts,
-)
+from .enumeration import DEFAULT_ENUM_CEILING, LimitExceeded, cycle_pair_counts
 from . import closed_form, enumeration, recursion, two_face
 
 TOTAL_THROUGH_13 = 6_749_977_113  # sum of r! for r = 1..13
+
+#: The one-face constructions by --method name, each called as (r, ceiling, workers).
+_ONE_FACE = {
+    "enumerate": lambda r, ceiling, workers: enumeration.one_face_poly(
+        r, ceiling=ceiling, workers=workers
+    ),
+    "closed": lambda r, ceiling, workers: closed_form.one_face_poly(r),
+    "recursion": lambda r, ceiling, workers: recursion.one_face_poly(r),
+}
 
 
 # table rendering and parsing -------------------------------------------------
@@ -103,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         if methods:
             p.add_argument(
                 "--method",
-                choices=("enumerate", "closed", "recursion"),
+                choices=tuple(_ONE_FACE),
                 help="construction to use (default: closed for a single r, "
                 "recursion for a range; two-face output always enumerates)",
             )
@@ -166,12 +170,16 @@ def _r_list(args) -> List[int]:
     if args.r is not None:
         if args.r_min is not None or args.r_max is not None:
             raise ValueError("give either --r or --r-min/--r-max, not both")
-        return [args.r]
-    if args.r_min is None or args.r_max is None:
+        rs = [args.r]
+    elif args.r_min is None or args.r_max is None:
         raise ValueError("need --r, or both --r-min and --r-max")
-    if args.r_min > args.r_max:
+    elif args.r_min > args.r_max:
         raise ValueError("--r-min exceeds --r-max")
-    return list(range(args.r_min, args.r_max + 1))
+    else:
+        rs = list(range(args.r_min, args.r_max + 1))
+    if min(rs) < 1:
+        raise ValueError("r must be a positive integer")
+    return rs
 
 
 def _warn_force(args, rs: Sequence[int]):
@@ -195,20 +203,13 @@ def _polys(args, rs: Sequence[int]) -> List[Tuple[int, BivarPoly]]:
             (r, two_face.two_face_gf(r, ceiling=ceiling, workers=workers).gf)
             for r in rs
         ]
-    method = getattr(args, "method", None)
-    if method is None:
-        method = "closed" if len(rs) == 1 else "recursion"
+    method = args.method or ("closed" if len(rs) == 1 else "recursion")
+    if method == "recursion":
+        wanted = set(rs)
+        return [(r, poly) for r, poly in recursion.stream(max(rs)) if r in wanted]
     if method == "enumerate":
         _warn_force(args, rs)
-        return [
-            (r, enumeration.one_face_poly(r, ceiling=ceiling, workers=workers))
-            for r in rs
-        ]
-    if method == "closed":
-        return [(r, closed_form.one_face_poly(r)) for r in rs]
-    top = max(rs)
-    wanted = set(rs)
-    return [(r, poly) for r, poly in recursion.stream(top) if r in wanted]
+    return [(r, _ONE_FACE[method](r, ceiling, workers)) for r in rs]
 
 
 # subcommands ------------------------------------------------------------------
@@ -284,21 +285,15 @@ def _cmd_bench(args) -> Tuple[str, int]:
     if method == "enumerate":
         _warn_force(args, rs)
     resolution_ms = time.get_clock_info("perf_counter").resolution * 1000.0
-
-    def run(r: int) -> BivarPoly:
-        if method == "enumerate":
-            return enumeration.one_face_poly(r, ceiling=ceiling, workers=workers)
-        if method == "closed":
-            return closed_form.one_face_poly(r)
-        return recursion.one_face_poly(r)
+    run = _ONE_FACE[method]
 
     records = []
     for r in rs:
-        poly = run(r)  # warm-up, result reused for the count
+        poly = run(r, ceiling, workers)  # warm-up, result reused for the count
         times = []
         for _ in range(max(1, args.reps)):
             t0 = time.perf_counter()
-            run(r)
+            run(r, ceiling, workers)
             times.append((time.perf_counter() - t0) * 1000.0)
         ms = statistics.median(times)
         flag = "below_resolution" if ms < resolution_ms else ""
@@ -321,12 +316,8 @@ def _check_base_cases(ceiling, workers):
     p1 = BivarPoly({(1, 1): 1})
     p2 = BivarPoly({(2, 1): 1, (1, 2): 1})
     for r, expected in ((1, p1), (2, p2)):
-        for poly in (
-            enumeration.one_face_poly(r, ceiling=ceiling, workers=workers),
-            closed_form.one_face_poly(r),
-            recursion.one_face_poly(r),
-        ):
-            if poly != expected:
+        for construct in _ONE_FACE.values():
+            if construct(r, ceiling, workers) != expected:
                 return False, f"mismatch at r={r}"
     return True, "P_1 = m*n and P_2 = m^2*n + m*n^2 by all three methods"
 
@@ -474,7 +465,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NotDivisible, EulerViolation) as exc:
+    except NotDivisible as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
     if args.out:

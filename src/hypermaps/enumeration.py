@@ -20,15 +20,18 @@ that the polynomial-time closed form and the recurrence are checked against.
 The Heap kernel (_heap_raw) and the transitivity test (_orbit_size) live
 here, in the only module that walks permutations.
 
-Work can be split into r independent shards by the image of dart 0; shards
-are merged by coefficient addition, so parallel and serial runs produce
-identical polynomials.  The shards of several face shapes of the same size
-share one process pool.
+Every walk is split into r shards by the image of dart 0, serial or not;
+shards are merged by coefficient addition, so pooled and serial runs produce
+identical polynomials.  A call pools its shards only when it has more than
+one worker and at least 8! permutations to walk, and the shards of several
+face shapes of the same size then share one process pool.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
+from math import factorial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .polynomial import BivarPoly
@@ -39,9 +42,11 @@ from .polynomial import BivarPoly
 #: growth beyond that is r-fold.
 DEFAULT_ENUM_CEILING = 13
 
-#: Below this size a parallel request falls back to the serial loop; the
-#: process pool costs more than the whole enumeration.
-_PARALLEL_MIN_R = 6
+#: A call with more than one worker pools its shards only when it walks at
+#: least this many permutations (number of shapes times r!); below that the
+#: pool costs more than it saves.  Medians on a 2-core machine, serial against
+#: two workers: one_face_poly(7) 13.6 vs 33.0 ms, one_face_poly(8) 122 vs 92 ms.
+_POOL_MIN_PERMS = factorial(8)
 
 
 class LimitExceeded(RuntimeError):
@@ -58,13 +63,6 @@ class LimitExceeded(RuntimeError):
 
 class EulerViolation(RuntimeError):
     """A hypermap's genus came out negative or non-integral (a bug signal)."""
-
-
-def _check_ceiling(r: int, ceiling: Optional[int]):
-    if r < 1:
-        raise ValueError(f"r must be a positive integer, got {r}")
-    if ceiling is not None and r > ceiling:
-        raise LimitExceeded(r, ceiling)
 
 
 def _xi_table(lengths: Sequence[int]) -> Tuple[int, ...]:
@@ -128,29 +126,22 @@ def _orbit_size(image_rows: Sequence[Sequence[int]], r: int) -> int:
 
 def _count_shard(
     xi: Tuple[int, ...],
-    first_image: Optional[int],
+    first_image: int,
     connected_only: bool,
 ) -> Dict[Tuple[int, int], int]:
     """Histogram of (cycles(sigma), cycles(xi o sigma)) over one shard of Sym_r.
 
-    first_image=None walks all of Sym_r; first_image=v walks the (r-1)!
-    permutations with sigma(0)=v.  connected_only keeps only sigma whose joint
-    action with xi is transitive.
+    The shard is the (r-1)! permutations sigma with sigma(0) = first_image.
+    connected_only keeps only sigma whose joint action with xi is transitive.
     """
     r = len(xi)
-    if first_image is None:
-        a = list(range(r))
-        start = 0
-    else:
-        a = [first_image] + [x for x in range(r) if x != first_image]
-        start = 1
-
+    a = [first_image] + [x for x in range(r) if x != first_image]
     counts: Dict[Tuple[int, int], int] = {}
     mark_s = [-1] * r
     mark_x = [-1] * r
     gen = 0
     rng = range(r)
-    for perm in _heap_raw(a, start):
+    for perm in _heap_raw(a, 1):
         if connected_only and _orbit_size((xi, perm), r) != r:
             continue
         gen += 1
@@ -178,11 +169,6 @@ def _count_shard(
     return counts
 
 
-def _shard_job(args) -> Dict[Tuple[int, int], int]:
-    lengths, first_image, connected_only = args
-    return _count_shard(_xi_table(lengths), first_image, connected_only)
-
-
 def cycle_pair_counts(
     lengths: Sequence[int],
     *,
@@ -196,33 +182,39 @@ def cycle_pair_counts(
     sum.  The histogram keys are exactly the (edges, vertices) exponent pairs
     of the generating polynomial and the values are the map counts.
     """
-    lengths = list(lengths)
-    _check_ceiling(sum(lengths), ceiling)
-    return _shape_counts([lengths], connected_only, workers)[0]
+    return _shape_counts([list(lengths)], connected_only, workers, ceiling)[0]
 
 
 def _shape_counts(
     shapes: Sequence[Sequence[int]],
     connected_only: bool,
     workers: int,
+    ceiling: Optional[int],
 ) -> List[Dict[Tuple[int, int], int]]:
     """cycle_pair_counts for several face shapes of the same r, one histogram each.
 
-    Pooled, every (shape, sigma(0)) shard goes to one process pool, so a
-    call starts one pool however many shapes it is given.  The caller checks
-    the ceiling.
+    Every shape is walked as r shards, one per sigma(0).  The shards run in
+    this process, or in one process pool for all shapes when there is more
+    than one worker and at least _POOL_MIN_PERMS permutations to walk.
     """
     r = sum(shapes[0])
-    if workers > 1 and r >= _PARALLEL_MIN_R:
-        merged: List[Dict[Tuple[int, int], int]] = [{} for _ in shapes]
-        jobs = [(lengths, v, connected_only) for lengths in shapes for v in range(r)]
-        with ProcessPoolExecutor(max_workers=min(workers, r)) as pool:
-            for i, shard in enumerate(pool.map(_shard_job, jobs)):
-                counts = merged[i // r]
-                for key, c in shard.items():
-                    counts[key] = counts.get(key, 0) + c
-        return merged
-    return [_count_shard(_xi_table(lengths), None, connected_only) for lengths in shapes]
+    if r < 1:
+        raise ValueError(f"r must be a positive integer, got {r}")
+    if ceiling is not None and r > ceiling:
+        raise LimitExceeded(r, ceiling)
+    xis = [xi for xi in map(_xi_table, shapes) for _ in range(r)]
+    images = list(range(r)) * len(shapes)
+    flags = [connected_only] * len(xis)
+    merged: List[Dict[Tuple[int, int], int]] = [{} for _ in shapes]
+    with ExitStack() as stack:
+        run = map
+        if workers > 1 and len(shapes) * factorial(r) >= _POOL_MIN_PERMS:
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=min(workers, r))).map
+        for i, shard in enumerate(run(_count_shard, xis, images, flags)):
+            counts = merged[i // r]
+            for key, c in shard.items():
+                counts[key] = counts.get(key, 0) + c
+    return merged
 
 
 def one_face_poly(

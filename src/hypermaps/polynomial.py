@@ -15,7 +15,7 @@ Values are immutable after construction and safe to share between workers.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 ExponentPair = Tuple[int, int]
 TermMap = Dict[ExponentPair, int]
@@ -44,11 +44,12 @@ class BivarPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Union[Mapping, Iterable, None] = None):
+    def __init__(self, terms: Optional[Mapping[ExponentPair, int]] = None):
         clean: TermMap = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for (e, v), c in items:
+        if terms is not None:
+            if not isinstance(terms, Mapping):
+                raise TypeError(f"terms must be a mapping, got {type(terms).__name__}")
+            for (e, v), c in terms.items():
                 if not (isinstance(e, int) and isinstance(v, int)):
                     raise TypeError(f"exponents must be ints, got ({e!r}, {v!r})")
                 if e < 0 or v < 0:
@@ -56,15 +57,7 @@ class BivarPoly:
                 if not isinstance(c, int):
                     raise TypeError(f"coefficient {c!r} is not an int")
                 if c != 0:
-                    prev = clean.get((e, v))
-                    if prev is None:
-                        clean[(e, v)] = c
-                    else:
-                        s = prev + c
-                        if s:
-                            clean[(e, v)] = s
-                        else:
-                            del clean[(e, v)]
+                    clean[(e, v)] = c
         object.__setattr__(self, "_terms", clean)
 
     # construction helpers ------------------------------------------------

@@ -17,7 +17,9 @@ contributes D/b for [a, b] plus D/a for [b, a] when a != b.  The two
 divisions stay separate: each one is asserted exact, not assumed, and
 raises NotDivisible if the equivalence classes ever fail to have size b (or
 a), which would be a real finding rather than something to hide.  All the
-splits of one call share one process pool.
+splits of one call are walked as shards of one enumeration call, in this
+process or, given more than one worker and at least 8! permutations in all
+(so from r = 8 on), in one shared process pool.
 
 connected_two_face_oracle recomputes the same polynomial a second,
 structurally different way, by enumerating only the sigma whose joint action
@@ -39,7 +41,7 @@ from math import factorial
 from typing import List, Optional, Tuple
 
 from .polynomial import BivarPoly
-from .enumeration import DEFAULT_ENUM_CEILING, _check_ceiling, _shape_counts
+from .enumeration import DEFAULT_ENUM_CEILING, _shape_counts
 from . import closed_form
 
 
@@ -65,8 +67,8 @@ def two_face_gf(
     part it subtracts is the product of one-face polynomials from the
     polynomial-time closed form.
     """
-    splits = _unordered_splits(r, ceiling)
-    histograms = _shape_counts([[a, b] for a, b in splits], False, workers)
+    splits = _unordered_splits(r)
+    histograms = _shape_counts([[a, b] for a, b in splits], False, workers, ceiling)
     gf = BivarPoly.zero()
     for (a, b), counts in zip(splits, histograms):
         disconnected = closed_form.one_face_poly(a) * closed_form.one_face_poly(b)
@@ -101,19 +103,18 @@ def connected_two_face_oracle(
     cyclic degeneracy of the unrooted loop).  Independent of the subtraction
     performed by two_face_gf, which it must match.
     """
-    splits = _unordered_splits(r, ceiling)
-    histograms = _shape_counts([[a, b] for a, b in splits], True, workers)
+    splits = _unordered_splits(r)
+    histograms = _shape_counts([[a, b] for a, b in splits], True, workers, ceiling)
     gf = BivarPoly.zero()
     for (a, b), counts in zip(splits, histograms):
         gf = gf + _both_orders(BivarPoly(counts), a, b)
     return gf
 
 
-def _unordered_splits(r: int, ceiling: Optional[int]) -> List[Tuple[int, int]]:
+def _unordered_splits(r: int) -> List[Tuple[int, int]]:
     """The splits (a, b) of r darts into two loops with a >= b >= 1."""
     if r < 2:
         raise ValueError("two-face maps need at least 2 darts")
-    _check_ceiling(r, ceiling)
     return [(r - b, b) for b in range(1, r // 2 + 1)]
 
 

@@ -165,6 +165,24 @@ def test_bad_range_exit_code(capsys):
     assert main(["poly"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poly", "--r-min", "0", "--r-max", "3"],
+        ["table", "--r-min", "0", "--r-max", "2"],
+        ["poly", "--r", "0", "--method", "closed"],
+        ["count", "--r", "0"],
+    ],
+    ids=["poly-range", "table-range", "poly-closed", "count"],
+)
+def test_darts_below_one_are_rejected(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: r must be a positive integer\n"
+
+
 def test_unread_options_are_rejected(capsys):
     # each subcommand takes only the flags its handler reads, so no flag is
     # accepted and then ignored (bench --faces 2 would print a one-face count)
@@ -283,9 +301,11 @@ def _subprocess_out(*argv):
 
 
 def test_single_and_multi_threaded_poly_are_byte_identical():
-    serial = _subprocess_out("poly", "--r", "7", "--method", "enumerate", "--threads", "1")
-    parallel = _subprocess_out("poly", "--r", "7", "--method", "enumerate", "--threads", "2")
-    assert serial == parallel
+    # --threads 2 walks r = 7 serially and pools r = 8 (8! permutations)
+    for r in ("7", "8"):
+        serial = _subprocess_out("poly", "--r", r, "--method", "enumerate", "--threads", "1")
+        parallel = _subprocess_out("poly", "--r", r, "--method", "enumerate", "--threads", "2")
+        assert serial == parallel
 
 
 def test_single_and_multi_threaded_verify_are_byte_identical():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from hypermaps import enumeration
 from hypermaps.polynomial import BivarPoly
 from hypermaps.enumeration import (
     EulerViolation,
@@ -10,6 +11,7 @@ from hypermaps.enumeration import (
     genus_table,
     one_face_poly,
 )
+from hypermaps.two_face import two_face_gf
 
 P1 = BivarPoly({(1, 1): 1})
 P2 = BivarPoly({(2, 1): 1, (1, 2): 1})
@@ -43,8 +45,55 @@ def test_monomials_satisfy_euler_parity():
 
 
 def test_parallel_matches_serial():
+    # r = 6 and 7 walk their shards serially under the pool rule; r = 8 pools
     for r in (6, 7, 8):
         assert one_face_poly(r, workers=3) == one_face_poly(r)
+
+
+def test_pooled_small_calls_match_serial(monkeypatch):
+    monkeypatch.setattr(enumeration, "_POOL_MIN_PERMS", 0)  # every call with workers > 1 pools
+    for r in (1, 2, 6, 7):
+        assert one_face_poly(r, workers=3) == one_face_poly(r)
+    for connected_only in (False, True):
+        assert cycle_pair_counts([4, 3], connected_only=connected_only, workers=2) == (
+            cycle_pair_counts([4, 3], connected_only=connected_only)
+        )
+
+
+@pytest.fixture
+def pools_built(monkeypatch):
+    """Replace the process pool by an in-process stand-in; list the pools built."""
+    built = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return None
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", StubPool)
+    return built
+
+
+def test_pool_only_from_8_factorial_permutations(pools_built):
+    one_face_poly(7, workers=2)  # 7! permutations
+    two_face_gf(7, workers=2)  # 3 shapes of 7! permutations each
+    assert pools_built == []
+    assert one_face_poly(8, workers=2) == one_face_poly(8)
+    assert pools_built == [2]
+
+
+def test_malformed_shape_fails_before_any_pool(pools_built):
+    with pytest.raises(ValueError):
+        cycle_pair_counts([9, 0], workers=2)
+    assert pools_built == []
 
 
 def test_ceiling_guard():

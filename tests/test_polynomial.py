@@ -94,6 +94,10 @@ def test_constructor_prunes_and_validates():
         BivarPoly({(-1, 0): 1})
     with pytest.raises(TypeError):
         BivarPoly({(1, 0): 1.5})
+    # only a mapping is accepted, so no exponent pair can occur twice
+    assert BivarPoly() == BivarPoly({}) == ZERO
+    with pytest.raises(TypeError):
+        BivarPoly([((1, 1), 1), ((1, 1), -1)])
 
 
 def test_immutability():

@@ -1,6 +1,6 @@
 import pytest
 
-from hypermaps import two_face
+from hypermaps import enumeration, two_face
 from hypermaps.polynomial import BivarPoly, NotDivisible
 from hypermaps.enumeration import LimitExceeded, cycle_pair_counts
 from hypermaps.two_face import (
@@ -72,8 +72,16 @@ def test_euler_parity_with_two_faces():
 
 
 def test_parallel_matches_serial():
+    # below 8! permutations per call these walk their shards serially
     assert two_face_gf(6, workers=3).gf == two_face_gf(6).gf
     # the shards of all three splits of r = 7 share one pool
+    assert two_face_gf(7, workers=2).gf == two_face_gf(7).gf
+    assert connected_two_face_oracle(7, workers=2) == connected_two_face_oracle(7)
+
+
+def test_pooled_splits_match_serial(monkeypatch):
+    monkeypatch.setattr(enumeration, "_POOL_MIN_PERMS", 0)  # every call with workers > 1 pools
+    assert two_face_gf(6, workers=3).gf == two_face_gf(6).gf
     assert two_face_gf(7, workers=2).gf == two_face_gf(7).gf
     assert connected_two_face_oracle(7, workers=2) == connected_two_face_oracle(7)
 
@@ -100,8 +108,8 @@ def test_corrupted_split_is_caught(monkeypatch, offset, divisor):
     # the division by b = 2; +2 passes it and fails the one by a = 3
     real = two_face._shape_counts
 
-    def corrupted(shapes, connected_only, workers):
-        histograms = real(shapes, connected_only, workers)
+    def corrupted(shapes, connected_only, workers, ceiling):
+        histograms = real(shapes, connected_only, workers, ceiling)
         counts = histograms[shapes.index([3, 2])]
         counts[min(counts)] += offset
         return histograms
