@@ -11,7 +11,7 @@ from math import factorial
 
 from hypermaps import cli, closed_form, enumeration, recursion
 
-print("the first six generating polynomials (closed form):")
+print("the first six generating polynomials (recurrence):")
 for r, poly in recursion.stream(6):
     print(f"  r={r}:  {poly}")
 
@@ -24,13 +24,6 @@ for r in range(1, 8):
     total = brute.eval_at(1, 1)
     agree = brute == closed == recur
     print(f"  r={r}:  methods agree: {agree},  total maps {total} (= {r}! is {total == factorial(r)})")
-
-print()
-print("counts by genus (Euler relation v + e + f = r + 2 - 2g):")
-for r in range(1, 8):
-    table = enumeration.genus_table(r, faces=1)
-    cells = ", ".join(f"g={g}: {c}" for g, c in table.items())
-    print(f"  r={r}:  {cells}")
 
 print()
 print("coefficient table for r = 4 (rows: r, e, v, count):")

@@ -40,7 +40,7 @@ _ONE_FACE = {
 }
 
 
-# table rendering and parsing -------------------------------------------------
+# table rendering -------------------------------------------------------------
 
 Row = Tuple[int, int, int, int]  # (r, e, v, count)
 
@@ -55,17 +55,6 @@ def render_table_csv(rows: Sequence[Row]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_table_csv(text: str) -> List[Row]:
-    lines = text.splitlines()
-    if not lines or lines[0] != "r,e,v,count":
-        raise ValueError("missing or malformed header, expected 'r,e,v,count'")
-    rows = []
-    for line in lines[1:]:
-        r, e, v, c = line.split(",")
-        rows.append((int(r), int(e), int(v), int(c)))
-    return rows
-
-
 def _json_group(rows: Sequence[Row]) -> List[dict]:
     groups: Dict[int, List[dict]] = {}
     for (r, e, v, c) in rows:
@@ -75,14 +64,6 @@ def _json_group(rows: Sequence[Row]) -> List[dict]:
 
 def render_table_json(rows: Sequence[Row]) -> str:
     return json.dumps(_json_group(rows)) + "\n"
-
-
-def parse_table_json(text: str) -> List[Row]:
-    rows: List[Row] = []
-    for group in json.loads(text):
-        for term in group["terms"]:
-            rows.append((int(group["r"]), int(term["e"]), int(term["v"]), int(term["c"])))
-    return rows
 
 
 # argument plumbing -----------------------------------------------------------
@@ -109,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--method",
                 choices=tuple(_ONE_FACE),
                 help="construction to use (default: closed for a single r, "
-                "recursion for a range; two-face output always enumerates)",
+                "recursion for a range; --faces 2 accepts only enumerate)",
             )
         if formats:
             p.add_argument("--format", choices=("text", "csv", "json"), default="text")
@@ -139,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the cross-validation suite")
     common(p_verify, methods=False, faces=False, ranged=False, formats=False)
-    p_verify.add_argument("--r-max", type=int, default=9, help="top of the method-agreement range")
+    p_verify.add_argument("--r-max", type=int, default=9, help="top of the method-agreement range (at least 2)")
 
     p_bench = sub.add_parser("bench", help="time the constructions (CSV)")
     common(p_bench, faces=False)
@@ -198,6 +179,8 @@ def _polys(args, rs: Sequence[int]) -> List[Tuple[int, BivarPoly]]:
     ceiling = _ceiling(args)
     workers = _threads(args)
     if args.faces == 2:
+        if args.method not in (None, "enumerate"):
+            raise ValueError(f"--method {args.method} does not apply to --faces 2")
         _warn_force(args, rs)
         return [
             (r, two_face.two_face_gf(r, ceiling=ceiling, workers=workers).gf)
@@ -278,6 +261,8 @@ def _cmd_avg_trace(args) -> Tuple[str, int]:
 
 
 def _cmd_bench(args) -> Tuple[str, int]:
+    if args.reps < 1:
+        raise ValueError("--reps must be at least 1")
     rs = _r_list(args)
     method = args.method or "closed"
     ceiling = _ceiling(args)
@@ -291,7 +276,7 @@ def _cmd_bench(args) -> Tuple[str, int]:
     for r in rs:
         poly = run(r, ceiling, workers)  # warm-up, result reused for the count
         times = []
-        for _ in range(max(1, args.reps)):
+        for _ in range(args.reps):
             t0 = time.perf_counter()
             run(r, ceiling, workers)
             times.append((time.perf_counter() - t0) * 1000.0)
@@ -416,6 +401,8 @@ def _check_two_face(rmax, ceiling, workers):
 
 
 def _cmd_verify(args) -> Tuple[str, int]:
+    if args.r_max < 2:
+        raise ValueError("--r-max must be at least 2, the smallest two-face check")
     ceiling = _ceiling(args)
     workers = _threads(args)
     rmax = args.r_max

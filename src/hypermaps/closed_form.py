@@ -17,7 +17,7 @@ powers of a random bipartite reduced density operator.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Dict, List, Tuple
 
 from .polynomial import BivarPoly
@@ -90,13 +90,6 @@ def stirling_row(r: int) -> List[int]:
     return list(rising_ratio(0, r)[1:])
 
 
-def _rising_value(x: int, length: int) -> int:
-    value = 1
-    for j in range(length):
-        value *= x + j
-    return value
-
-
 def avg_trace_power(m: int, n: int, r: int) -> Fraction:
     """Mean of the r-th trace power of a random reduced density operator.
 
@@ -106,7 +99,7 @@ def avg_trace_power(m: int, n: int, r: int) -> Fraction:
     mn(mn+1)...(mn+r-1).  Exact rational output.
     """
     _check_mnr(m, n, r)
-    return Fraction(one_face_poly(r).eval_at(m, n), _rising_value(m * n, r))
+    return Fraction(one_face_poly(r).eval_at(m, n), prod(range(m * n, m * n + r)))
 
 
 def avg_trace_power_alt(m: int, n: int, r: int) -> Fraction:

@@ -61,10 +61,6 @@ class LimitExceeded(RuntimeError):
         self.ceiling = ceiling
 
 
-class EulerViolation(RuntimeError):
-    """A hypermap's genus came out negative or non-integral (a bug signal)."""
-
-
 def _xi_table(lengths: Sequence[int]) -> Tuple[int, ...]:
     """Image table of the canonical face permutation for the given cycle lengths.
 
@@ -231,41 +227,4 @@ def one_face_poly(
     """
     counts = cycle_pair_counts([r], ceiling=ceiling, workers=workers)
     return BivarPoly(counts)
-
-
-def genus_table(
-    r: int,
-    faces: int = 1,
-    *,
-    ceiling: Optional[int] = DEFAULT_ENUM_CEILING,
-    workers: int = 1,
-) -> Dict[int, int]:
-    """Counts of rooted hypermaps with r darts grouped by genus.
-
-    The genus comes from the Euler relation v + e + f = r + 2 - 2g.  Every
-    enumerated map must give a nonnegative integer g; anything else raises
-    EulerViolation, since it can only mean the enumeration itself is broken.
-    """
-    if faces == 1:
-        poly = one_face_poly(r, ceiling=ceiling, workers=workers)
-    elif faces == 2:
-        from .two_face import two_face_gf  # deferred: two_face builds on this module
-
-        poly = two_face_gf(r, ceiling=ceiling, workers=workers).gf
-    else:
-        raise ValueError(f"faces must be 1 or 2, got {faces}")
-    return _genus_from_poly(r, faces, poly)
-
-
-def _genus_from_poly(r: int, faces: int, poly: BivarPoly) -> Dict[int, int]:
-    out: Dict[int, int] = {}
-    for (e, v), c in poly.sorted_terms():
-        twice_g = r + 2 - v - e - faces
-        if twice_g < 0 or twice_g % 2:
-            raise EulerViolation(
-                f"r={r} faces={faces}: term m^{e}*n^{v} gives 2g={twice_g}"
-            )
-        g = twice_g // 2
-        out[g] = out.get(g, 0) + c
-    return dict(sorted(out.items()))
 

@@ -60,16 +60,6 @@ class BivarPoly:
                     clean[(e, v)] = c
         object.__setattr__(self, "_terms", clean)
 
-    # construction helpers ------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "BivarPoly":
-        return cls()
-
-    @classmethod
-    def constant(cls, c: int) -> "BivarPoly":
-        return cls({(0, 0): c})
-
     # basic protocol -------------------------------------------------------
 
     def __setattr__(self, name, value):
@@ -145,7 +135,7 @@ class BivarPoly:
     def __pow__(self, exp: int) -> "BivarPoly":
         if not isinstance(exp, int) or exp < 0:
             raise ValueError("exponent must be a nonnegative int")
-        result = BivarPoly.constant(1)
+        result = BivarPoly({(0, 0): 1})
         for _ in range(exp):
             result = result * self
         return result

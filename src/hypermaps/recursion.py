@@ -152,7 +152,7 @@ def _rf_bivar(k: int, length: int, in_m: bool) -> BivarPoly:
 def _f_cleared(s: int, k: int) -> BivarPoly:
     """s! * F(s, k): the closed-form summand with its denominator cleared."""
     if k < 0 or k >= s:
-        return BivarPoly.zero()
+        return BivarPoly()
     sign = -1 if k & 1 else 1
     return (sign * comb(s - 1, k)) * (_rf_bivar(k, s, True) * _rf_bivar(k, s, False))
 
@@ -164,7 +164,7 @@ def _g_cleared(r: int, k: int) -> BivarPoly:
     factors, so both sides of the certificate stay pole-free polynomials.
     """
     if k < 1 or k > r + 1:
-        return BivarPoly.zero()
+        return BivarPoly()
     sign = -1 if k & 1 else 1
     prod = _rf_bivar(k, r + 1, True) * _rf_bivar(k, r + 1, False)
     return (sign * comb(r, k - 1)) * prod * certificate_bracket(r, k)
@@ -182,7 +182,7 @@ def verify_certificate(r: int, k: int) -> bool:
     lhs = (
         (r + 3) * _f_cleared(r + 2, k)
         - ((2 * r + 3) * (r + 2)) * (M + N) * _f_cleared(r + 1, k)
-        + (r * (r + 1) * (r + 2)) * ((M - N) ** 2 - BivarPoly.constant((r + 1) ** 2)) * _f_cleared(r, k)
+        + (r * (r + 1) * (r + 2)) * ((M - N) ** 2 - BivarPoly({(0, 0): (r + 1) ** 2})) * _f_cleared(r, k)
     )
     rhs = _g_cleared(r, k + 1) - _g_cleared(r, k)
     return lhs == rhs
@@ -196,7 +196,7 @@ def telescoping_check(r: int) -> bool:
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    total = BivarPoly.zero()
+    total = BivarPoly()
     for k in range(0, r + 2):
         total = total + (_g_cleared(r, k + 1) - _g_cleared(r, k))
     return not total

@@ -69,7 +69,7 @@ def two_face_gf(
     """
     splits = _unordered_splits(r)
     histograms = _shape_counts([[a, b] for a, b in splits], False, workers, ceiling)
-    gf = BivarPoly.zero()
+    gf = BivarPoly()
     for (a, b), counts in zip(splits, histograms):
         disconnected = closed_form.one_face_poly(a) * closed_form.one_face_poly(b)
         gf = gf + _both_orders(BivarPoly(counts) - disconnected, a, b)
@@ -105,7 +105,7 @@ def connected_two_face_oracle(
     """
     splits = _unordered_splits(r)
     histograms = _shape_counts([[a, b] for a, b in splits], True, workers, ceiling)
-    gf = BivarPoly.zero()
+    gf = BivarPoly()
     for (a, b), counts in zip(splits, histograms):
         gf = gf + _both_orders(BivarPoly(counts), a, b)
     return gf

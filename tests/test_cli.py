@@ -5,13 +5,8 @@ import sys
 
 import pytest
 
-from hypermaps.cli import (
-    main,
-    parse_table_csv,
-    parse_table_json,
-    render_table_csv,
-    render_table_json,
-)
+from hypermaps import closed_form
+from hypermaps.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -61,23 +56,35 @@ def test_poly_json(capsys):
     }
 
 
+def closed_rows(rs):
+    """Expected (r, e, v, count) table rows, built from the closed form."""
+    return [(r, e, v, c) for r in rs for (e, v), c in closed_form.one_face_poly(r).sorted_terms()]
+
+
 def test_table_csv_round_trip(capsys):
     code, out = run_cli(capsys, "table", "--r-min", "1", "--r-max", "5", "--format", "csv")
     assert code == 0
-    assert out.startswith("r,e,v,count\n")
-    assert render_table_csv(parse_table_csv(out)) == out
+    expected = ["r,e,v,count"] + [f"{r},{e},{v},{c}" for r, e, v, c in closed_rows(range(1, 6))]
+    assert out == "\n".join(expected) + "\n"
 
 
 def test_table_json_round_trip(capsys):
     code, out = run_cli(capsys, "table", "--r-min", "2", "--r-max", "4", "--format", "json")
     assert code == 0
-    assert render_table_json(parse_table_json(out)) == out
+    rows = closed_rows(range(2, 5))
+    assert json.loads(out) == [
+        {"r": r, "terms": [{"e": e, "v": v, "c": str(c)} for rr, e, v, c in rows if rr == r]}
+        for r in range(2, 5)
+    ]
 
 
 def test_table_rows_are_counts(capsys):
     _, out = run_cli(capsys, "table", "--r", "3", "--format", "csv")
-    rows = parse_table_csv(out)
+    header, *lines = out.splitlines()
+    assert header == "r,e,v,count"
+    rows = [tuple(int(x) for x in line.split(",")) for line in lines]
     assert rows == [(3, 3, 1, 1), (3, 2, 2, 3), (3, 1, 3, 1), (3, 1, 1, 1)]
+    assert rows == closed_rows([3])
 
 
 GOLDEN_TABLE_R4 = """\
@@ -183,6 +190,20 @@ def test_darts_below_one_are_rejected(capsys, argv):
     assert captured.err == "error: r must be a positive integer\n"
 
 
+@pytest.mark.parametrize("command", ["poly", "table"])
+def test_one_face_methods_are_rejected_with_two_faces(capsys, command):
+    # two-face polynomials are only enumerated, so closed and recursion would be ignored
+    for method in ("closed", "recursion"):
+        code = main([command, "--r", "4", "--faces", "2", "--method", method])
+        captured = capsys.readouterr()
+        assert code == 2, method
+        assert captured.out == ""
+        assert captured.err == f"error: --method {method} does not apply to --faces 2\n"
+    default = run_cli(capsys, command, "--r", "4", "--faces", "2")
+    assert default[0] == 0
+    assert run_cli(capsys, command, "--r", "4", "--faces", "2", "--method", "enumerate") == default
+
+
 def test_unread_options_are_rejected(capsys):
     # each subcommand takes only the flags its handler reads, so no flag is
     # accepted and then ignored (bench --faces 2 would print a one-face count)
@@ -258,6 +279,16 @@ def test_verify_times_go_to_stderr(capsys):
     ]
 
 
+@pytest.mark.parametrize("r_max", ["1", "0", "-3"])
+def test_verify_r_max_below_two_is_rejected(capsys, r_max):
+    # the two-face check starts at r = 2, so a smaller --r-max would test nothing
+    code = main(["verify", "--r-max", r_max])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --r-max must be at least 2, the smallest two-face check\n"
+
+
 def test_verify_default_range_passes(capsys):
     code, out = run_cli(capsys, "verify")
     assert code == 0
@@ -276,6 +307,15 @@ def test_bench_csv_shape(capsys):
     method, r, ms, count, flag = lines[1].split(",")
     assert method == "closed" and r == "2" and count == "2"
     assert float(ms) >= 0.0
+
+
+@pytest.mark.parametrize("reps", ["0", "-4"])
+def test_bench_reps_below_one_are_rejected(capsys, reps):
+    code = main(["bench", "--r", "3", "--method", "closed", "--reps", reps])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --reps must be at least 1\n"
 
 
 def test_repeated_runs_are_byte_identical(capsys):

@@ -5,10 +5,8 @@ import pytest
 from hypermaps import enumeration
 from hypermaps.polynomial import BivarPoly
 from hypermaps.enumeration import (
-    EulerViolation,
     LimitExceeded,
     cycle_pair_counts,
-    genus_table,
     one_face_poly,
 )
 from hypermaps.two_face import two_face_gf
@@ -136,35 +134,6 @@ def test_cycle_pair_counts_connected_filter():
     connected = cycle_pair_counts([1, 1], connected_only=True)
     assert all_counts == {(2, 2): 1, (1, 1): 1}
     assert connected == {(1, 1): 1}
-
-
-def test_genus_table_one_face():
-    assert genus_table(1, faces=1) == {0: 1}
-    assert genus_table(3, faces=1) == {0: 5, 1: 1}
-    # genus counts exhaust Sym_r
-    for r in range(1, 8):
-        assert sum(genus_table(r, faces=1).values()) == math.factorial(r)
-
-
-def test_genus_table_two_faces():
-    assert genus_table(2, faces=2) == {0: 1}
-    assert sum(genus_table(5, faces=2).values()) == 210
-
-
-def test_genus_table_rejects_other_faces():
-    with pytest.raises(ValueError):
-        genus_table(3, faces=3)
-
-
-def test_euler_violation_is_detected():
-    from hypermaps.enumeration import _genus_from_poly
-
-    # negative genus: one dart cannot support two faces at (e, v) = (1, 1)
-    with pytest.raises(EulerViolation):
-        _genus_from_poly(1, 2, BivarPoly({(1, 1): 1}))
-    # non-integral genus: parity off by one
-    with pytest.raises(EulerViolation):
-        _genus_from_poly(4, 1, BivarPoly({(2, 2): 1}))
 
 
 def test_conjugate_face_shapes_have_equal_histograms():

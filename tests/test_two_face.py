@@ -88,7 +88,7 @@ def test_pooled_splits_match_serial(monkeypatch):
 
 def _ordered_split_reference(r):
     # every ordered split [r - b, b], each enumerated, divided by b
-    gf = BivarPoly.zero()
+    gf = BivarPoly()
     for b in range(1, r):
         counts = cycle_pair_counts([r - b, b], connected_only=True)
         gf = gf + BivarPoly(counts).exact_div(b)
