@@ -135,9 +135,12 @@ def _threads(args) -> int:
             return len(os.sched_getaffinity(0))  # the CPUs this process may run on
         except AttributeError:  # platforms without affinity masks
             return os.cpu_count() or 1
-    count = int(args.threads)
+    try:
+        count = int(args.threads)
+    except ValueError:
+        count = 0  # not an integer: rejected below with the same message
     if count < 1:
-        raise ValueError("--threads must be at least 1")
+        raise ValueError(f"--threads takes a positive integer or 'auto', not {args.threads!r}")
     return count
 
 
@@ -351,7 +354,10 @@ def _check_stirling(rmax, ceiling, workers):
 
 
 def _check_symmetry_parity(rmax=20):
-    for r, poly in recursion.stream(rmax):
+    # the closed form expands every slot; the recurrence mirrors half of each
+    # row, so its output would be symmetric by construction
+    for r in range(1, rmax + 1):
+        poly = closed_form.one_face_poly(r)
         if poly != poly.swap_vars():
             return False, f"not symmetric at r={r}"
         for (e, v), _ in poly.sorted_terms():
@@ -444,12 +450,14 @@ _HANDLERS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):  # recent Pythons cap int-to-str at 4300 digits
+        sys.set_int_max_str_digits(0)
     try:
         text, code = _HANDLERS[args.command](args)
     except LimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotDivisible as exc:

@@ -24,6 +24,17 @@ coefficient by coefficient and is always exact for true generating
 polynomials; a remainder raises NotDivisible with the term's (e, v), the
 coefficient and the divisor r+3, because it means the state was corrupted.
 
+Every P_s is symmetric under m<->n (edge-vertex duality), and so are the
+factors (m+n) and (m-n)^2 above, so symmetric P_{r+1} and P_r give a
+symmetric P_{r+2}.  On rows, the symmetry reads rows[g][j] = rows[g][L-1-j]
+with L = s - 2g the row length.  The step therefore computes only the slots
+j < ceil(L/2) of each row, each with its exact-or-raise division, and fills
+the rest by mirroring.  A mirrored slot is right only if the inputs were
+symmetric, so after computing, the step checks that every input row is a
+palindrome and raises ValueError naming s and the genus row if one is not;
+an asymmetric state thus never passes silently, even when its computed half
+happens to divide exactly.
+
 The recurrence is certified by a telescoping companion identity: with F(r, k)
 the k-th summand of the closed-form sum, there is an explicitly given G(r, k)
 such that
@@ -70,25 +81,40 @@ def stream(r_max: int):
 
 
 def _advance(s: int, a_rows: _Rows, b_rows: _Rows) -> _Rows:
-    """Genus rows of P_s from those of P_{s-1} (a_rows) and P_{s-2} (b_rows)."""
+    """Genus rows of P_s from those of P_{s-1} (a_rows) and P_{s-2} (b_rows).
+
+    Raises NotDivisible if a computed slot leaves a remainder and ValueError
+    if an input row is not symmetric under m<->n.
+    """
     r = s - 2
     c_a, c_b, c_bb, d = 2 * r + 3, r * (r + 1) ** 2, 2 * r, r + 3
     out: _Rows = []
     for g in range((s + 1) // 2):
         length = s - 2 * g
-        # pad the rows so that the zip below reads zeros outside each row
+        half = (length + 1) // 2  # slots j < half are computed, the rest mirrored
+        # pad the rows so that the zip below reads zeros outside each row;
+        # the half-length a1 stops the zip after the computed slots
         a = [0, *a_rows[g], 0] if g < len(a_rows) else [0] * (length + 1)
         b = [0, 0, *b_rows[g], 0, 0] if g < len(b_rows) else [0] * (length + 2)
-        h = b_rows[g - 1] if g else [0] * length
+        h = b_rows[g - 1] if g else [0] * half
         row: List[int] = []
-        for a0, a1, h0, b0, b1, b2 in zip(a, a[1:], h, b, b[1:], b[2:]):
+        for a0, a1, h0, b0, b1, b2 in zip(a, a[1 : half + 1], h, b, b[1:], b[2:]):
             t = c_a * (a0 + a1) + c_b * h0 - r * (b0 + b2) + c_bb * b1
             q, rem = divmod(t, d)
             if rem:
                 j = len(row)  # slot of m^(j+1)
                 raise NotDivisible(j + 1, length - j, t, d)
             row.append(q)
+        row.extend(reversed(row[: length // 2]))
         out.append(row)
+    # the mirrored halves are right only for symmetric inputs, so check them
+    for back, rows in ((1, a_rows), (2, b_rows)):
+        for g, row in enumerate(rows):
+            if row != row[::-1]:
+                raise ValueError(
+                    f"genus row {g} of P_{s - back} is not symmetric under m<->n "
+                    f"(stepping to s={s})"
+                )
     return out
 
 

@@ -1,12 +1,25 @@
 import hashlib
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypermaps import closed_form
 from hypermaps.cli import main
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _restore_int_str_cap():
+    # main lifts Python's cap on int-to-str digits for the whole process
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    yield
+    if saved is not None:
+        sys.set_int_max_str_digits(saved)
 
 
 def run_cli(capsys, *argv):
@@ -316,6 +329,98 @@ def test_bench_reps_below_one_are_rejected(capsys, reps):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: --reps must be at least 1\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bad_threads_value_names_the_flag(capsys, value):
+    code = main(["poly", "--r", "3", "--threads", value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --threads takes a positive integer or 'auto', not '{value}'\n"
+
+
+def test_count_prints_more_than_4300_digits(capsys):
+    code, out = run_cli(capsys, "count", "--r", "1700")
+    assert code == 0
+    assert out == f"{factorial(1700)}\n"
+    assert len(out) > 4300
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--r", str(10**20)],
+        ["count", "--faces", "2", "--r", str(10**20)],
+        ["count", "--r-min", "1", "--r-max", str(10**20)],
+    ],
+    ids=["one-face", "two-face", "range"],
+)
+def test_enormous_r_is_an_error_not_a_traceback(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+_SMALL_R = st.integers(-1, 7).map(str)
+_EXTRA_FLAGS = st.sampled_from(
+    [
+        ["--format", "json"], ["--format", "csv"], ["--format", "xml"],
+        ["--faces", "2"], ["--faces", "3"],
+        ["--method", "closed"], ["--method", "recursion"], ["--method", "enumerate"],
+        ["--threads", "2"], ["--threads", "auto"], ["--threads", "abc"],
+        ["--force"], ["--enum-ceiling", "5"], ["--reps", "1"], ["--r", "3"], ["--bogus"],
+    ]
+)
+
+
+@st.composite
+def _cli_argv(draw):
+    if draw(st.integers(0, 4)) == 0:
+        # r >= 2^63 only where the CLI must refuse it at once; elsewhere the
+        # work grows with r, so such an r runs as long as it asks
+        base = draw(
+            st.sampled_from(
+                [
+                    ["count"],
+                    ["count", "--faces", "2"],
+                    ["poly", "--method", "enumerate"],
+                    ["table", "--method", "enumerate"],
+                ]
+            )
+        )
+        return [*base, "--r", str(draw(st.integers(2**63, 2**64)))]
+    command = draw(st.sampled_from(["poly", "table", "count", "stirling", "avg-trace", "bench", "verify"]))
+    argv = [command]
+    if command == "avg-trace":
+        argv += ["--m", draw(_SMALL_R), "--n", draw(_SMALL_R), "--r", draw(_SMALL_R)]
+    elif command == "verify":
+        argv += ["--r-max", draw(st.sampled_from(["-1", "0", "1"]))]  # a full verify takes seconds
+    else:
+        darts = draw(st.integers(0, 2))
+        if darts == 1:
+            argv += ["--r", draw(_SMALL_R)]
+        elif darts == 2:
+            argv += ["--r-min", draw(_SMALL_R), "--r-max", draw(_SMALL_R)]
+    for flags in draw(st.lists(_EXTRA_FLAGS, max_size=3)):
+        argv += flags
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cli_argv())
+def test_any_argv_ends_with_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejecting the command line
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def test_repeated_runs_are_byte_identical(capsys):

@@ -79,6 +79,13 @@ def test_corrupted_state_is_caught():
     assert err.coeff % err.divisor
 
 
+def test_asymmetric_state_is_rejected():
+    # P_2 corrupted to 5*m^2*n + m*n^2: the computed half of the step to s = 3
+    # divides exactly, so only the symmetry check can catch it
+    with pytest.raises(ValueError, match=r"genus row 0 of P_2 .* s=3"):
+        _advance(3, [[5, 1]], [[1]])
+
+
 def test_certificate_bracket_spot_values():
     # three hand-expanded sample points pin the one long transcription
     assert certificate_bracket(1, 0).eval_at(1, 1) == 12
