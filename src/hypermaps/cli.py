@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
 import time
 from math import factorial
@@ -264,6 +263,8 @@ def _cmd_avg_trace(args) -> Tuple[str, int]:
 
 
 def _cmd_bench(args) -> Tuple[str, int]:
+    import statistics  # only bench reads it, so the other commands start without it
+
     if args.reps < 1:
         raise ValueError("--reps must be at least 1")
     rs = _r_list(args)
@@ -410,6 +411,8 @@ def _cmd_verify(args) -> Tuple[str, int]:
     if args.r_max < 2:
         raise ValueError("--r-max must be at least 2, the smallest two-face check")
     ceiling = _ceiling(args)
+    # method-agreement enumerates every r up to --r-max, so refuse it before any check runs
+    enumeration.check_ceiling(args.r_max, ceiling)
     workers = _threads(args)
     rmax = args.r_max
     checks = [

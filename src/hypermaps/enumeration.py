@@ -24,12 +24,14 @@ Every walk is split into r shards by the image of dart 0, serial or not;
 shards are merged by coefficient addition, so pooled and serial runs produce
 identical polynomials.  A call pools its shards only when it has more than
 one worker and at least 8! permutations to walk, and the shards of several
-face shapes of the same size then share one process pool.
+face shapes of the same size then share one process pool.  The pool class is
+imported by that branch on the first pooled call, so a serial run, and any
+program that merely imports the package, never loads concurrent.futures'
+process module or multiprocessing.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from math import factorial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -59,6 +61,12 @@ class LimitExceeded(RuntimeError):
         )
         self.r = r
         self.ceiling = ceiling
+
+
+def check_ceiling(r: int, ceiling: Optional[int]) -> None:
+    """Raise LimitExceeded if enumerating Sym_r would pass the ceiling (None: no ceiling)."""
+    if ceiling is not None and r > ceiling:
+        raise LimitExceeded(r, ceiling)
 
 
 def _xi_table(lengths: Sequence[int]) -> Tuple[int, ...]:
@@ -196,8 +204,7 @@ def _shape_counts(
     r = sum(shapes[0])
     if r < 1:
         raise ValueError(f"r must be a positive integer, got {r}")
-    if ceiling is not None and r > ceiling:
-        raise LimitExceeded(r, ceiling)
+    check_ceiling(r, ceiling)
     xis = [xi for xi in map(_xi_table, shapes) for _ in range(r)]
     images = list(range(r)) * len(shapes)
     flags = [connected_only] * len(xis)
@@ -205,6 +212,8 @@ def _shape_counts(
     with ExitStack() as stack:
         run = map
         if workers > 1 and len(shapes) * factorial(r) >= _POOL_MIN_PERMS:
+            from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only pooled calls pay it
+
             run = stack.enter_context(ProcessPoolExecutor(max_workers=min(workers, r))).map
         for i, shard in enumerate(run(_count_shard, xis, images, flags)):
             counts = merged[i // r]

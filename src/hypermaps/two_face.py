@@ -31,22 +31,23 @@ There is a closed-form total (valid for any r, no enumeration):
     sum over b = 1..r-1 of (r! - b!(r-b)!) / b
 
 but no closed form for the polynomial itself, so the generating function is
-only available within the enumeration ceiling.
+only available within the enumeration ceiling.  Both routes check r against
+that ceiling before they build the list of splits, so an r far beyond it is
+refused at once with LimitExceeded.  two_face_gf returns a TwoFaceResult, a
+NamedTuple of (r, gf, total).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .polynomial import BivarPoly
-from .enumeration import DEFAULT_ENUM_CEILING, _shape_counts
+from .enumeration import DEFAULT_ENUM_CEILING, _shape_counts, check_ceiling
 from . import closed_form
 
 
-@dataclass(frozen=True)
-class TwoFaceResult:
+class TwoFaceResult(NamedTuple):
     """Generating polynomial and total count for two-face maps with r darts."""
 
     r: int
@@ -67,7 +68,7 @@ def two_face_gf(
     part it subtracts is the product of one-face polynomials from the
     polynomial-time closed form.
     """
-    splits = _unordered_splits(r)
+    splits = _unordered_splits(r, ceiling)
     histograms = _shape_counts([[a, b] for a, b in splits], False, workers, ceiling)
     gf = BivarPoly()
     for (a, b), counts in zip(splits, histograms):
@@ -103,7 +104,7 @@ def connected_two_face_oracle(
     cyclic degeneracy of the unrooted loop).  Independent of the subtraction
     performed by two_face_gf, which it must match.
     """
-    splits = _unordered_splits(r)
+    splits = _unordered_splits(r, ceiling)
     histograms = _shape_counts([[a, b] for a, b in splits], True, workers, ceiling)
     gf = BivarPoly()
     for (a, b), counts in zip(splits, histograms):
@@ -111,10 +112,15 @@ def connected_two_face_oracle(
     return gf
 
 
-def _unordered_splits(r: int) -> List[Tuple[int, int]]:
-    """The splits (a, b) of r darts into two loops with a >= b >= 1."""
+def _unordered_splits(r: int, ceiling: Optional[int]) -> List[Tuple[int, int]]:
+    """The splits (a, b) of r darts into two loops with a >= b >= 1.
+
+    r is checked against the enumeration ceiling before the r // 2 splits are
+    built, so an r far past it fails at once instead of exhausting memory.
+    """
     if r < 2:
         raise ValueError("two-face maps need at least 2 darts")
+    check_ceiling(r, ceiling)
     return [(r - b, b) for b in range(1, r // 2 + 1)]
 
 

@@ -353,8 +353,12 @@ def test_count_prints_more_than_4300_digits(capsys):
         ["count", "--r", str(10**20)],
         ["count", "--faces", "2", "--r", str(10**20)],
         ["count", "--r-min", "1", "--r-max", str(10**20)],
+        # refused before any check: method-agreement would first enumerate
+        # r = 9..13 (hours), or stream the recurrence without bound
+        ["verify", "--r-max", "14"],
+        ["verify", "--r-max", str(2**63)],
     ],
-    ids=["one-face", "two-face", "range"],
+    ids=["one-face", "two-face", "range", "verify-past-ceiling", "verify-enormous"],
 )
 def test_enormous_r_is_an_error_not_a_traceback(capsys, argv):
     code = main(argv)
@@ -389,6 +393,8 @@ def _cli_argv(draw):
                     ["count", "--faces", "2"],
                     ["poly", "--method", "enumerate"],
                     ["table", "--method", "enumerate"],
+                    ["poly", "--faces", "2"],
+                    ["table", "--faces", "2"],
                 ]
             )
         )

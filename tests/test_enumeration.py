@@ -76,7 +76,8 @@ def pools_built(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", StubPool)
+    # the pooled branch imports the pool class at call time, so patch it at its source
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", StubPool)
     return built
 
 

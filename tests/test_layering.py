@@ -2,9 +2,13 @@
 
 Each module may import only the package modules listed for it.  The walk
 covers the whole syntax tree, so imports deferred inside functions count too.
+Importing the CLI must also leave out the standard-library machinery that
+only some runs use, so that every short run starts without paying for it.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import hypermaps
@@ -57,3 +61,20 @@ def test_layering_walk_sees_nested_and_absolute_imports():
         "    from hypermaps.closed_form import one_face_poly\n"
     )
     assert package_imports(source) == {"polynomial", "recursion", "two_face", "closed_form"}
+
+
+#: Loaded on first use only: the process pool by a pooled enumeration call,
+#: statistics by bench; dataclasses and inspect by nothing in the package.
+DEFERRED = ("concurrent.futures.process", "multiprocessing", "dataclasses", "inspect", "statistics")
+
+
+def test_cli_import_leaves_out_deferred_modules():
+    # -S skips site, whose .pth files may import any of these on their own
+    src = str(Path(hypermaps.__file__).parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import hypermaps.cli; "
+        f"print(' '.join(m for m in {DEFERRED!r} if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
