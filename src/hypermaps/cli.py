@@ -29,14 +29,10 @@ from . import closed_form, enumeration, recursion, two_face
 
 TOTAL_THROUGH_13 = 6_749_977_113  # sum of r! for r = 1..13
 
-#: The one-face constructions by --method name, each called as (r, ceiling, workers).
-_ONE_FACE = {
-    "enumerate": lambda r, ceiling, workers: enumeration.one_face_poly(
-        r, ceiling=ceiling, workers=workers
-    ),
-    "closed": lambda r, ceiling, workers: closed_form.one_face_poly(r),
-    "recursion": lambda r, ceiling, workers: recursion.one_face_poly(r),
-}
+#: The one-face constructions by --method name, run by _one_face.  The
+#: recurrence, the fastest at every r, answers unless another is asked for.
+_METHODS = ("enumerate", "closed", "recursion")
+_DEFAULT_METHOD = "recursion"
 
 
 # table rendering -------------------------------------------------------------
@@ -87,9 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
         if methods:
             p.add_argument(
                 "--method",
-                choices=tuple(_ONE_FACE),
-                help="construction to use (default: closed for a single r, "
-                "recursion for a range; --faces 2 accepts only enumerate)",
+                choices=_METHODS,
+                help="construction to use (default: recursion, the fastest; closed "
+                "and enumerate are independent checks; --faces 2 accepts only enumerate)",
             )
         if formats:
             p.add_argument("--format", choices=("text", "csv", "json"), default="text")
@@ -143,12 +139,6 @@ def _threads(args) -> int:
     return count
 
 
-def _ceiling(args) -> Optional[int]:
-    if args.force:
-        return None
-    return args.enum_ceiling
-
-
 def _r_list(args) -> List[int]:
     if args.r is not None:
         if args.r_min is not None or args.r_max is not None:
@@ -165,36 +155,46 @@ def _r_list(args) -> List[int]:
     return rs
 
 
-def _warn_force(args, rs: Sequence[int]):
-    if args.force:
+def _enum_settings(args, rs: Sequence[int]) -> Tuple[Optional[int], int]:
+    """Ceiling and worker count for enumerating each r in rs (none: --threads only).
+
+    Refuses an r above the ceiling before any work; --force warns what it costs.
+    """
+    workers = _threads(args)
+    ceiling = None if args.force else args.enum_ceiling
+    if rs:
         worst = max(rs)
-        work = worst * factorial(worst)
-        print(
-            f"warning: ceiling override; enumeration at r={worst} is about "
-            f"10^{len(str(work)) - 1} cycle operations",
-            file=sys.stderr,
-        )
+        enumeration.check_ceiling(worst, ceiling)
+        if args.force:
+            work = worst * factorial(worst)
+            print(
+                f"warning: ceiling override; enumeration at r={worst} is about "
+                f"10^{len(str(work)) - 1} cycle operations",
+                file=sys.stderr,
+            )
+    return ceiling, workers
+
+
+def _one_face(method, rs, ceiling, workers) -> List[Tuple[int, BivarPoly]]:
+    """(r, P_r) for each r of the increasing rs, built by the named construction."""
+    if method == "recursion":
+        wanted = set(rs)
+        return [(r, poly) for r, poly in recursion.stream(max(rs)) if r in wanted]
+    if method == "closed":
+        return [(r, closed_form.one_face_poly(r)) for r in rs]
+    return [(r, enumeration.one_face_poly(r, ceiling=ceiling, workers=workers)) for r in rs]
 
 
 def _polys(args, rs: Sequence[int]) -> List[Tuple[int, BivarPoly]]:
     """Resolve (r, polynomial) pairs for the requested faces/method."""
-    ceiling = _ceiling(args)
-    workers = _threads(args)
     if args.faces == 2:
         if args.method not in (None, "enumerate"):
             raise ValueError(f"--method {args.method} does not apply to --faces 2")
-        _warn_force(args, rs)
-        return [
-            (r, two_face.two_face_gf(r, ceiling=ceiling, workers=workers).gf)
-            for r in rs
-        ]
-    method = args.method or ("closed" if len(rs) == 1 else "recursion")
-    if method == "recursion":
-        wanted = set(rs)
-        return [(r, poly) for r, poly in recursion.stream(max(rs)) if r in wanted]
-    if method == "enumerate":
-        _warn_force(args, rs)
-    return [(r, _ONE_FACE[method](r, ceiling, workers)) for r in rs]
+        ceiling, workers = _enum_settings(args, rs)
+        return [(r, two_face.two_face_gf(r, ceiling=ceiling, workers=workers).gf) for r in rs]
+    method = args.method or _DEFAULT_METHOD
+    ceiling, workers = _enum_settings(args, rs if method == "enumerate" else ())
+    return _one_face(method, rs, ceiling, workers)
 
 
 # subcommands ------------------------------------------------------------------
@@ -268,21 +268,17 @@ def _cmd_bench(args) -> Tuple[str, int]:
     if args.reps < 1:
         raise ValueError("--reps must be at least 1")
     rs = _r_list(args)
-    method = args.method or "closed"
-    ceiling = _ceiling(args)
-    workers = _threads(args)
-    if method == "enumerate":
-        _warn_force(args, rs)
+    method = args.method or _DEFAULT_METHOD
+    ceiling, workers = _enum_settings(args, rs if method == "enumerate" else ())
     resolution_ms = time.get_clock_info("perf_counter").resolution * 1000.0
-    run = _ONE_FACE[method]
 
     records = []
     for r in rs:
-        poly = run(r, ceiling, workers)  # warm-up, result reused for the count
+        [(_, poly)] = _one_face(method, [r], ceiling, workers)  # warm-up; poly gives the count
         times = []
         for _ in range(args.reps):
             t0 = time.perf_counter()
-            run(r, ceiling, workers)
+            _one_face(method, [r], ceiling, workers)
             times.append((time.perf_counter() - t0) * 1000.0)
         ms = statistics.median(times)
         flag = "below_resolution" if ms < resolution_ms else ""
@@ -302,11 +298,10 @@ def _cmd_bench(args) -> Tuple[str, int]:
 
 
 def _check_base_cases(ceiling, workers):
-    p1 = BivarPoly({(1, 1): 1})
-    p2 = BivarPoly({(2, 1): 1, (1, 2): 1})
-    for r, expected in ((1, p1), (2, p2)):
-        for construct in _ONE_FACE.values():
-            if construct(r, ceiling, workers) != expected:
+    expected = {1: BivarPoly({(1, 1): 1}), 2: BivarPoly({(2, 1): 1, (1, 2): 1})}
+    for method in _METHODS:
+        for r, poly in _one_face(method, [1, 2], ceiling, workers):
+            if poly != expected[r]:
                 return False, f"mismatch at r={r}"
     return True, "P_1 = m*n and P_2 = m^2*n + m*n^2 by all three methods"
 
@@ -410,11 +405,9 @@ def _check_two_face(rmax, ceiling, workers):
 def _cmd_verify(args) -> Tuple[str, int]:
     if args.r_max < 2:
         raise ValueError("--r-max must be at least 2, the smallest two-face check")
-    ceiling = _ceiling(args)
-    # method-agreement enumerates every r up to --r-max, so refuse it before any check runs
-    enumeration.check_ceiling(args.r_max, ceiling)
-    workers = _threads(args)
     rmax = args.r_max
+    # method-agreement enumerates every r up to rmax, so refuse it before any check runs
+    ceiling, workers = _enum_settings(args, [rmax])
     checks = [
         ("base-cases", lambda: _check_base_cases(ceiling, workers)),
         ("method-agreement", lambda: _check_agreement(rmax, ceiling, workers)),
@@ -457,10 +450,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         text, code = _HANDLERS[args.command](args)
-    except LimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OverflowError, OSError) as exc:
+    except (LimitExceeded, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotDivisible as exc:

@@ -46,16 +46,17 @@ with F zero outside 0 <= k < r and G zero outside 1 <= k <= r+1.  Summing
 over k telescopes the right side to zero and turns each F-sum into a P,
 which is the recurrence.  verify_certificate checks the identity for one
 (r, k) as an exact equality of integer polynomials, after multiplying both
-sides by (r+2)! so no rational polynomial type is needed.
+sides by (r+2)! so no rational polynomial type is needed; telescoping_check
+checks the second step, that each F-sum is the closed-form P.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, factorial
 from typing import Dict, List, Tuple
 
 from .polynomial import M, N, BivarPoly, NotDivisible, _wrap
-from .closed_form import rising_ratio
+from . import closed_form
 
 _P1 = BivarPoly({(1, 1): 1})
 _P2 = BivarPoly({(2, 1): 1, (1, 2): 1})
@@ -132,13 +133,6 @@ def _to_poly(rows: _Rows, s: int, keys: _KeyCache) -> BivarPoly:
     return _wrap(terms)
 
 
-def one_face_poly(r: int) -> BivarPoly:
-    """Generating polynomial for r darts, built by running the recurrence."""
-    for _, poly in stream(r):
-        pass
-    return poly
-
-
 # certificate -------------------------------------------------------------
 
 
@@ -169,7 +163,7 @@ def certificate_bracket(r: int, k: int) -> BivarPoly:
 
 def _rf_bivar(k: int, length: int, in_m: bool) -> BivarPoly:
     """Rising product of the given length starting at (m or n) - k, as a BivarPoly."""
-    coeffs = rising_ratio(k, length)
+    coeffs = closed_form.rising_ratio(k, length)
     if in_m:
         return BivarPoly({(i, 0): c for i, c in enumerate(coeffs) if c})
     return BivarPoly({(0, i): c for i, c in enumerate(coeffs) if c})
@@ -215,14 +209,15 @@ def verify_certificate(r: int, k: int) -> bool:
 
 
 def telescoping_check(r: int) -> bool:
-    """True iff the certificate differences sum to the zero polynomial.
+    """True iff the F-sums at s = r, r+1, r+2 are the closed-form polynomials P_s.
 
-    Summing G(r, k+1) - G(r, k) over k = 0..r+1 must cancel term by term,
-    because G vanishes at both ends of the range.
+    Summed over k, the certificate telescopes to the recurrence applied to
+    these sums, so it proves the recurrence for P only when they match.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    total = BivarPoly()
-    for k in range(0, r + 2):
-        total = total + (_g_cleared(r, k + 1) - _g_cleared(r, k))
-    return not total
+    for s in (r, r + 1, r + 2):
+        f_sum = sum((_f_cleared(s, k) for k in range(s)), BivarPoly())
+        if f_sum != factorial(s) * closed_form.one_face_poly(s):
+            return False
+    return True

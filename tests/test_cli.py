@@ -54,6 +54,21 @@ def test_poly_methods_agree(capsys):
     assert len(set(outputs.values())) == 1
 
 
+def test_recurrence_is_the_default_route(capsys, monkeypatch):
+    # with the closed form out of action, requests without --method still answer
+    def refuse(r):
+        raise RuntimeError("closed form called")
+
+    monkeypatch.setattr(closed_form, "one_face_poly", refuse)
+    for argv in (["poly", "--r", "5"], ["table", "--r", "5", "--format", "csv"]):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert out == run_cli(capsys, *argv, "--method", "recursion")[1], argv
+    code, out = run_cli(capsys, "bench", "--r", "3", "--reps", "1")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[0] == "recursion"
+
+
 def test_poly_two_face(capsys):
     code, out = run_cli(capsys, "poly", "--r", "2", "--faces", "2")
     assert code == 0
@@ -307,6 +322,14 @@ def test_verify_default_range_passes(capsys):
     assert code == 0
     assert "verify: 8/8 checks passed" in out
     assert "r = 1..9" in out
+
+
+def test_verify_force_warns(capsys):
+    code = main(["verify", "--r-max", "3", "--force"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err.splitlines()[0].startswith("warning: ceiling override")
+    assert captured.out == run_cli(capsys, "verify", "--r-max", "3")[1]
 
 
 def test_bench_csv_shape(capsys):

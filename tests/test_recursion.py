@@ -1,6 +1,6 @@
 import pytest
 
-from hypermaps import closed_form, enumeration, recursion
+from hypermaps import closed_form, enumeration
 from hypermaps.polynomial import M, N, BivarPoly, NotDivisible
 from hypermaps.recursion import (
     _advance,
@@ -12,7 +12,6 @@ from hypermaps.recursion import (
 )
 
 P1 = BivarPoly({(1, 1): 1})
-P2 = BivarPoly({(2, 1): 1, (1, 2): 1})
 P3 = BivarPoly({(3, 1): 1, (2, 2): 3, (1, 3): 1, (1, 1): 1})
 
 
@@ -44,12 +43,6 @@ def test_stream_covers_range():
     assert pairs[0][1] == P1
 
 
-def test_one_face_poly_entry_points():
-    assert recursion.one_face_poly(1) == P1
-    assert recursion.one_face_poly(2) == P2
-    assert recursion.one_face_poly(3) == P3
-
-
 def test_step_division_always_exact():
     # every division by r+3 up to 32 darts is exact, or stream raises NotDivisible
     assert [r for r, _ in stream(32)][-1] == 32
@@ -57,7 +50,7 @@ def test_step_division_always_exact():
 
 def test_invalid_state_rejected():
     with pytest.raises(ValueError):
-        recursion.one_face_poly(0)
+        list(stream(0))
 
 
 def test_corrupted_state_is_caught():
@@ -123,6 +116,16 @@ def test_certificate_exhaustive_small_range():
 def test_telescoping():
     for r in (1, 2, 6):
         assert telescoping_check(r)
+
+
+def test_telescoping_fails_against_a_wrong_closed_form(monkeypatch):
+    # the summed certificate must meet the closed-form polynomials, so a
+    # wrong P_s is caught even though every certificate identity still holds
+    real = closed_form.one_face_poly
+    monkeypatch.setattr(closed_form, "one_face_poly", lambda s: real(s) + M * N)
+    for r in (1, 2, 6):
+        assert verify_certificate(r, 1)
+        assert not telescoping_check(r)
 
 
 def test_validation():
