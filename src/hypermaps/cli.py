@@ -24,7 +24,7 @@ from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .polynomial import BivarPoly, NotDivisible
-from .enumeration import DEFAULT_ENUM_CEILING, LimitExceeded, cycle_pair_counts
+from .enumeration import DEFAULT_ENUM_CEILING, LimitExceeded
 from . import closed_form, enumeration, recursion, two_face
 
 TOTAL_THROUGH_13 = 6_749_977_113  # sum of r! for r = 1..13
@@ -44,9 +44,9 @@ def rows_for_poly(r: int, poly: BivarPoly) -> List[Row]:
     return [(r, e, v, c) for (e, v), c in poly.sorted_terms()]
 
 
-def render_table_csv(rows: Sequence[Row]) -> str:
-    lines = ["r,e,v,count"]
-    lines.extend(f"{r},{e},{v},{c}" for (r, e, v, c) in rows)
+def _csv(header: str, rows: Sequence[tuple]) -> str:
+    """The header line, then one comma-joined line per row."""
+    lines = [header, *(",".join(map(str, row)) for row in rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -158,14 +158,16 @@ def _r_list(args) -> List[int]:
 def _enum_settings(args, rs: Sequence[int]) -> Tuple[Optional[int], int]:
     """Ceiling and worker count for enumerating each r in rs (none: --threads only).
 
-    Refuses an r above the ceiling before any work; --force warns what it costs.
+    Refuses an r above the ceiling before any work.  --force, or a ceiling
+    raised far enough to let an r above the default through, warns what the
+    largest r costs.
     """
     workers = _threads(args)
     ceiling = None if args.force else args.enum_ceiling
     if rs:
         worst = max(rs)
         enumeration.check_ceiling(worst, ceiling)
-        if args.force:
+        if args.force or worst > DEFAULT_ENUM_CEILING:
             work = worst * factorial(worst)
             print(
                 f"warning: ceiling override; enumeration at r={worst} is about "
@@ -207,7 +209,7 @@ def _cmd_poly(args) -> Tuple[str, int]:
         return "".join(f"{poly.render()}\n" for _, poly in pairs), 0
     rows = [row for r, poly in pairs for row in rows_for_poly(r, poly)]
     if args.format == "csv":
-        return render_table_csv(rows), 0
+        return _csv("r,e,v,count", rows), 0
     if len(pairs) == 1:
         return json.dumps(_json_group(rows)[0]) + "\n", 0
     return render_table_json(rows), 0
@@ -218,7 +220,7 @@ def _cmd_table(args) -> Tuple[str, int]:
     rows = [row for r, poly in _polys(args, rs) for row in rows_for_poly(r, poly)]
     if args.format == "json":
         return render_table_json(rows), 0
-    return render_table_csv(rows), 0
+    return _csv("r,e,v,count", rows), 0
 
 
 def _cmd_count(args) -> Tuple[str, int]:
@@ -234,8 +236,7 @@ def _cmd_count(args) -> Tuple[str, int]:
     if args.format == "json":
         objs = [{"r": r, "faces": args.faces, "count": str(c)} for r, c in counts]
         return json.dumps(objs) + "\n", 0
-    lines = ["r,faces,count"] + [f"{r},{args.faces},{c}" for r, c in counts]
-    return "\n".join(lines) + "\n", 0
+    return _csv("r,faces,count", [(r, args.faces, c) for r, c in counts]), 0
 
 
 def _cmd_stirling(args) -> Tuple[str, int]:
@@ -246,10 +247,7 @@ def _cmd_stirling(args) -> Tuple[str, int]:
     if args.format == "json":
         objs = [{"r": r, "row": [str(c) for c in row]} for r, row in rows]
         return json.dumps(objs) + "\n", 0
-    lines = ["r,k,c"]
-    for r, row in rows:
-        lines.extend(f"{r},{k},{c}" for k, c in enumerate(row, start=1))
-    return "\n".join(lines) + "\n", 0
+    return _csv("r,k,c", [(r, k, c) for r, row in rows for k, c in enumerate(row, start=1)]), 0
 
 
 def _cmd_avg_trace(args) -> Tuple[str, int]:
@@ -258,7 +256,7 @@ def _cmd_avg_trace(args) -> Tuple[str, int]:
         obj = {"m": args.m, "n": args.n, "r": args.r, "value": str(value)}
         return json.dumps(obj) + "\n", 0
     if args.format == "csv":
-        return f"m,n,r,value\n{args.m},{args.n},{args.r},{value}\n", 0
+        return _csv("m,n,r,value", [(args.m, args.n, args.r, value)]), 0
     return f"{value}\n", 0
 
 
@@ -289,9 +287,8 @@ def _cmd_bench(args) -> Tuple[str, int]:
             for mth, r, ms, c, flag in records
         ]
         return json.dumps(objs) + "\n", 0
-    lines = ["method,r,ms,count,flag"]
-    lines.extend(f"{mth},{r},{ms:.3f},{c},{flag}" for mth, r, ms, c, flag in records)
-    return "\n".join(lines) + "\n", 0
+    rows = [(mth, r, f"{ms:.3f}", c, flag) for mth, r, ms, c, flag in records]
+    return _csv("method,r,ms,count,flag", rows), 0
 
 
 # verify ------------------------------------------------------------------------
@@ -335,16 +332,11 @@ def _check_totals():
 
 def _check_stirling(rmax, ceiling, workers):
     for r in range(1, rmax + 1):
-        row = closed_form.stirling_row(r)
-        marginal = closed_form.one_face_poly(r).substitute_n(1)
-        if marginal != {k: c for k, c in enumerate(row, start=1) if c}:
+        row = {k: c for k, c in enumerate(closed_form.stirling_row(r), start=1) if c}
+        if closed_form.one_face_poly(r).substitute_n(1) != row:
             return False, f"marginal != Stirling row at r={r}"
-        histogram: Dict[int, int] = {}
-        for (cs, _), count in cycle_pair_counts(
-            [r], ceiling=ceiling, workers=workers
-        ).items():
-            histogram[cs] = histogram.get(cs, 0) + count
-        if histogram != {k: c for k, c in enumerate(row, start=1) if c}:
+        # the cycle histogram of Sym_r: the enumerated P_r with n = 1
+        if enumeration.one_face_poly(r, ceiling=ceiling, workers=workers).substitute_n(1) != row:
             return False, f"cycle histogram != Stirling row at r={r}"
     return True, f"P_r(m,1) matches Stirling row and cycle histogram for r = 1..{rmax}"
 

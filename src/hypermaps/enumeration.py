@@ -14,27 +14,30 @@ rooted hypermaps; for a multi-cycle xi the plain sum also includes
 disconnected diagrams (the two_face module subtracts those back out).
 
 This is O(r * r!) work, which is exactly why it is trustworthy: each sigma is
-visited once by Heap's algorithm and its two cycle counts are recomputed from
-scratch, with no incremental cleverness to get wrong.  It is the ground truth
-that the polynomial-time closed form and the recurrence are checked against.
-The Heap kernel (_heap_raw) and the transitivity test (_orbit_size) live
-here, in the only module that walks permutations.
+visited once and its two cycle counts are recomputed from scratch, with no
+incremental cleverness to get wrong.  It is the ground truth that the
+polynomial-time closed form and the recurrence are checked against.  This is
+the only module that walks permutations, and the standard library's
+itertools.permutations generates them; the transitivity test (_orbit_size)
+lives here too.
 
-Every walk is split into r shards by the image of dart 0, serial or not;
-shards are merged by coefficient addition, so pooled and serial runs produce
-identical polynomials.  A call pools its shards only when it has more than
-one worker and at least 8! permutations to walk, and the shards of several
-face shapes of the same size then share one process pool.  The pool class is
-imported by that branch on the first pooled call, so a serial run, and any
-program that merely imports the package, never loads concurrent.futures'
-process module or multiprocessing.
+Every walk is split into r shards by the image of dart 0, serial or not.  The
+shard with sigma(0) = i puts i in front of each of the (r-1)! orders of the
+other images; shards are merged by coefficient addition, so pooled and serial
+runs produce identical polynomials.  A call pools its shards only when it
+has more than one worker and at least 8! permutations to walk, and the
+shards of several face shapes of the same size then share one process pool.
+The pool class is imported by that branch on the first pooled call, so a
+serial run, and any program that merely imports the package, never loads
+concurrent.futures' process module or multiprocessing.
 """
 
 from __future__ import annotations
 
 from contextlib import ExitStack
+from itertools import permutations
 from math import factorial
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .polynomial import BivarPoly
 
@@ -86,31 +89,6 @@ def _xi_table(lengths: Sequence[int]) -> Tuple[int, ...]:
     return tuple(xi)
 
 
-def _heap_raw(a: List[int], start: int = 0) -> Iterator[List[int]]:
-    """Heap's algorithm over a[start:], yielding the SAME list after each swap.
-
-    The first yield is the list in its initial order.  Callers must not store
-    the yielded object; it is mutated in place.  Iterative form with an
-    explicit counter array, so the stream can be consumed lazily.
-    """
-    yield a
-    k = len(a) - start
-    c = [0] * k
-    i = 1
-    while i < k:
-        if c[i] < i:
-            if i % 2 == 0:
-                a[start], a[start + i] = a[start + i], a[start]
-            else:
-                a[start + c[i]], a[start + i] = a[start + i], a[start + c[i]]
-            yield a
-            c[i] += 1
-            i = 1
-        else:
-            c[i] = 0
-            i += 1
-
-
 def _orbit_size(image_rows: Sequence[Sequence[int]], r: int) -> int:
     """Size of the orbit of point 0 under the given image tables (BFS)."""
     seen = bytearray(r)
@@ -139,13 +117,13 @@ def _count_shard(
     connected_only keeps only sigma whose joint action with xi is transitive.
     """
     r = len(xi)
-    a = [first_image] + [x for x in range(r) if x != first_image]
     counts: Dict[Tuple[int, int], int] = {}
     mark_s = [-1] * r
     mark_x = [-1] * r
     gen = 0
     rng = range(r)
-    for perm in _heap_raw(a, 1):
+    for rest in permutations([x for x in range(r) if x != first_image]):
+        perm = (first_image, *rest)
         if connected_only and _orbit_size((xi, perm), r) != r:
             continue
         gen += 1

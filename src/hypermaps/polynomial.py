@@ -101,16 +101,7 @@ class BivarPoly:
         return _wrap(out)
 
     def __sub__(self, other: "BivarPoly") -> "BivarPoly":
-        if not isinstance(other, BivarPoly):
-            return NotImplemented
-        out = dict(self._terms)
-        for ev, c in other._terms.items():
-            s = out.get(ev, 0) - c
-            if s:
-                out[ev] = s
-            else:
-                out.pop(ev, None)
-        return _wrap(out)
+        return self + other * -1
 
     def __mul__(self, other: Union["BivarPoly", int]) -> "BivarPoly":
         if isinstance(other, int):

@@ -2,10 +2,13 @@
 
 Writing P_r for the generating polynomial with r darts, the recurrence is
 
-    (r+3) P_{r+2} = (2r+3)(m+n) P_{r+1} + r[(r+1)^2 - (m-n)^2] P_r,   r >= 1,
+    (r+3) P_{r+2} = (2r+3)(m+n) P_{r+1} + r[(r+1)^2 - (m-n)^2] P_r,   r >= 0,
 
-with P_1 = mn and P_2 = m^2*n + m*n^2.  Stepping the recurrence is the
-fastest way to produce every polynomial up to some order.
+with P_1 = mn.  At r = 0 the last term vanishes and the recurrence reads
+3 P_2 = 3(m+n) P_1, so the stream starts from P_1 alone and takes
+P_2 = m^2*n + m*n^2 from the same step as every later polynomial.  Stepping
+the recurrence is the fastest way to produce every polynomial up to some
+order.
 
 The step runs on genus rows, not on generic polynomial products.  Every term
 m^e*n^v of P_s satisfies e, v >= 1 and e + v = s + 1 - 2g for a genus g >= 0,
@@ -58,9 +61,6 @@ from typing import Dict, List, Tuple
 from .polynomial import M, N, BivarPoly, NotDivisible, _wrap
 from . import closed_form
 
-_P1 = BivarPoly({(1, 1): 1})
-_P2 = BivarPoly({(2, 1): 1, (1, 2): 1})
-
 _Rows = List[List[int]]
 #: Exponent pairs (i, d - i), i = 1..d-1, of the terms of total degree d.
 _KeyCache = Dict[int, List[Tuple[int, int]]]
@@ -70,13 +70,10 @@ def stream(r_max: int):
     """Yield (r, polynomial) for r = 1..r_max in one recurrence pass."""
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
-    yield 1, _P1
-    if r_max == 1:
-        return
-    yield 2, _P2
     keys: _KeyCache = {}
-    prev, curr = [[1]], [[1, 1]]
-    for s in range(3, r_max + 1):
+    prev, curr = [], [[1]]  # no rows for P_0: the r = 0 step multiplies it by 0
+    yield 1, _to_poly(curr, 1, keys)
+    for s in range(2, r_max + 1):
         prev, curr = curr, _advance(s, curr, prev)
         yield s, _to_poly(curr, s, keys)
 
@@ -161,12 +158,11 @@ def certificate_bracket(r: int, k: int) -> BivarPoly:
     )
 
 
-def _rf_bivar(k: int, length: int, in_m: bool) -> BivarPoly:
-    """Rising product of the given length starting at (m or n) - k, as a BivarPoly."""
+def _rf_product(k: int, length: int) -> BivarPoly:
+    """The rising products of the given length starting at m-k and at n-k, multiplied."""
     coeffs = closed_form.rising_ratio(k, length)
-    if in_m:
-        return BivarPoly({(i, 0): c for i, c in enumerate(coeffs) if c})
-    return BivarPoly({(0, i): c for i, c in enumerate(coeffs) if c})
+    in_m = BivarPoly({(i, 0): c for i, c in enumerate(coeffs) if c})
+    return in_m * in_m.swap_vars()
 
 
 def _f_cleared(s: int, k: int) -> BivarPoly:
@@ -174,7 +170,7 @@ def _f_cleared(s: int, k: int) -> BivarPoly:
     if k < 0 or k >= s:
         return BivarPoly()
     sign = -1 if k & 1 else 1
-    return (sign * comb(s - 1, k)) * (_rf_bivar(k, s, True) * _rf_bivar(k, s, False))
+    return (sign * comb(s - 1, k)) * _rf_product(k, s)
 
 
 def _g_cleared(r: int, k: int) -> BivarPoly:
@@ -186,8 +182,7 @@ def _g_cleared(r: int, k: int) -> BivarPoly:
     if k < 1 or k > r + 1:
         return BivarPoly()
     sign = -1 if k & 1 else 1
-    prod = _rf_bivar(k, r + 1, True) * _rf_bivar(k, r + 1, False)
-    return (sign * comb(r, k - 1)) * prod * certificate_bracket(r, k)
+    return (sign * comb(r, k - 1)) * _rf_product(k, r + 1) * certificate_bracket(r, k)
 
 
 def verify_certificate(r: int, k: int) -> bool:

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -156,6 +157,12 @@ def test_count_range_csv(capsys):
     assert out == "r,faces,count\n1,1,1\n2,1,2\n3,1,6\n"
 
 
+def test_count_two_face_range_csv(capsys):
+    code, out = run_cli(capsys, "count", "--faces", "2", "--r-min", "2", "--r-max", "4", "--format", "csv")
+    assert code == 0
+    assert out == "r,faces,count\n2,2,1\n3,2,6\n4,2,34\n"
+
+
 def test_stirling_text(capsys):
     code, out = run_cli(capsys, "stirling", "--r", "3")
     assert code == 0
@@ -178,6 +185,12 @@ def test_avg_trace_json(capsys):
     code, out = run_cli(capsys, "avg-trace", "--m", "3", "--n", "2", "--r", "2", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"m": 3, "n": 2, "r": 2, "value": "5/7"}
+
+
+def test_avg_trace_csv(capsys):
+    code, out = run_cli(capsys, "avg-trace", "--m", "2", "--n", "2", "--r", "2", "--format", "csv")
+    assert code == 0
+    assert out == "m,n,r,value\n2,2,2,4/5\n"
 
 
 def test_limit_exceeded_exit_code(capsys):
@@ -332,6 +345,18 @@ def test_verify_force_warns(capsys):
     assert captured.out == run_cli(capsys, "verify", "--r-max", "3")[1]
 
 
+def test_raised_ceiling_warns(capsys, monkeypatch):
+    # an --enum-ceiling above the default starts a costly walk, so it warns like --force
+    argv = ["poly", "--r", "7", "--method", "enumerate", "--enum-ceiling", "7"]
+    expected = run_cli(capsys, *argv)[1]
+    monkeypatch.setattr("hypermaps.cli.DEFAULT_ENUM_CEILING", 5)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err.splitlines()[0].startswith("warning: ceiling override")
+    assert captured.out == expected
+
+
 def test_bench_csv_shape(capsys):
     code, out = run_cli(
         capsys, "bench", "--r-min", "2", "--r-max", "4", "--method", "closed", "--reps", "1"
@@ -343,6 +368,10 @@ def test_bench_csv_shape(capsys):
     method, r, ms, count, flag = lines[1].split(",")
     assert method == "closed" and r == "2" and count == "2"
     assert float(ms) >= 0.0
+    for line in lines[1:]:
+        ms, flag = line.split(",")[2::2]
+        assert re.fullmatch(r"\d+\.\d{3}", ms)
+        assert flag in ("", "below_resolution")
 
 
 @pytest.mark.parametrize("reps", ["0", "-4"])

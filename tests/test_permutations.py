@@ -1,49 +1,41 @@
-"""The permutation walk under the enumeration: Heap's algorithm and the orbit test.
+"""The permutation walk under the enumeration: the shards of Sym_r and the orbit test.
 
-Both live in hypermaps.enumeration as _heap_raw and _orbit_size.  _heap_raw
-yields one list, mutated in place, so each order is copied as it is seen.
+Both live in hypermaps.enumeration: _count_shard walks the permutations with
+one image of dart 0, and _orbit_size tests transitivity.
 """
 
 import math
 
-from hypermaps.enumeration import _heap_raw, _orbit_size
+from hypermaps import closed_form
+from hypermaps.enumeration import _count_shard, _orbit_size, _xi_table, cycle_pair_counts
 
 
-def heap_sequence(a, start=0):
-    return [tuple(perm) for perm in _heap_raw(a, start)]
+def _merged_shards(shape, connected_only):
+    xi = _xi_table(shape)
+    total = {}
+    for i in range(len(xi)):
+        shard = _count_shard(xi, i, connected_only)
+        if not connected_only:
+            assert sum(shard.values()) == math.factorial(len(xi) - 1)
+        for key, c in shard.items():
+            total[key] = total.get(key, 0) + c
+    return total
 
 
-def test_heap_counts_and_uniqueness():
-    'the kernel yields exactly r! distinct orders for r <= 8, the first unchanged'
-    for r in range(1, 9):
-        seq = heap_sequence(list(range(r)))
-        assert len(seq) == len(set(seq)) == math.factorial(r)
-        assert seq[0] == tuple(range(r))
-
-
-def test_heap_shard_keeps_first_entry():
-    'with start=1 the kernel walks the (r-1)! orders of a[1:] and never moves a[0]'
-    for r in range(1, 9):
-        first = r - 1
-        a = [first] + [x for x in range(r) if x != first]
-        seq = heap_sequence(a, start=1)
-        assert len(seq) == len(set(seq)) == math.factorial(r - 1)
-        assert all(perm[0] == first for perm in seq)
-
-
-def test_heap_r1_is_identity():
-    assert heap_sequence([0]) == [(0,)]
-
-
-def test_heap_r3_all_distinct():
-    # Heap's sequence of single transpositions, pinned for r = 3
-    assert heap_sequence([0, 1, 2]) == [
-        (0, 1, 2), (1, 0, 2), (2, 0, 1), (0, 2, 1), (1, 2, 0), (2, 1, 0)
-    ]
-
-
-def test_heap_order_is_deterministic():
-    assert heap_sequence(list(range(4))) == heap_sequence(list(range(4)))
+def test_shards_walk_sym_r():
+    'the shard of each sigma(0) walks (r-1)! permutations, and the r shards make up Sym_r'
+    for r in range(1, 8):
+        total = _merged_shards([r], False)
+        assert total == cycle_pair_counts([r])
+        # summed over xi o sigma, the histogram counts Sym_r by cycles of sigma
+        marginal = {}
+        for (cs, _), c in total.items():
+            marginal[cs] = marginal.get(cs, 0) + c
+        assert marginal == dict(enumerate(closed_form.stirling_row(r), start=1))
+    # two loops of 3 and 2 darts: sigma is disconnected exactly when it keeps both blocks
+    connected = _merged_shards([3, 2], True)
+    assert connected == cycle_pair_counts([3, 2], connected_only=True)
+    assert sum(connected.values()) == math.factorial(5) - math.factorial(3) * math.factorial(2)
 
 
 def test_is_transitive():
