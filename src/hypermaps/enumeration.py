@@ -14,19 +14,23 @@ rooted hypermaps; for a multi-cycle xi the plain sum also includes
 disconnected diagrams (the two_face module subtracts those back out).
 
 This is O(r * r!) work, which is exactly why it is trustworthy: each sigma is
-visited once and its two cycle counts are recomputed from scratch, with no
+visited once and its cycle counts are recomputed from scratch, with no
 incremental cleverness to get wrong.  It is the ground truth that the
 polynomial-time closed form and the recurrence are checked against.  This is
 the only module that walks permutations, and the standard library's
-itertools.permutations generates them; the transitivity test (_orbit_size)
-lives here too.
+itertools.permutations generates them; the transitivity test (_joins_blocks)
+lives here too.  It tests transitivity on the cycles of xi rather than on
+points: the orbit of dart 0 under <xi, sigma> is a union of xi's cycles, so
+it is grown cycle by cycle through the images of sigma.
 
-Every walk is split into r shards by the image of dart 0, serial or not.  The
-shard with sigma(0) = i puts i in front of each of the (r-1)! orders of the
-other images; shards are merged by coefficient addition, so pooled and serial
-runs produce identical polynomials.  A call pools its shards only when it
-has more than one worker and at least 8! permutations to walk, and the
-shards of several face shapes of the same size then share one process pool.
+One call walks Sym_r once, for all of its face shapes (which share r), split
+into r shards by the image of dart 0, serial or not.  The shard with
+sigma(0) = i puts i in front of each of the (r-1)! orders of the other
+images, counts cycles(sigma) once per sigma, and then runs each shape's
+filter and cycles(xi o sigma), giving one histogram per shape.  Shards are
+merged by coefficient addition, so pooled and serial runs produce identical
+polynomials.  A call pools its shards only when it has more than one worker
+and at least 8! permutations to count (r! times the number of face shapes).
 The pool class is imported by that branch on the first pooled call, so a
 serial run, and any program that merely imports the package, never loads
 concurrent.futures' process module or multiprocessing.
@@ -42,15 +46,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .polynomial import BivarPoly
 
 #: Largest r enumerated without an explicit override; r=13 is about 6.2e9
-#: permutations.  At the measured serial rate of 3.2-3.6 us per permutation
-#: (Python 3.11 on a 2-core x86 machine) that is 5.5-6.2 hours of work, and
-#: growth beyond that is r-fold.
+#: permutations.  Serial one_face_poly(11) took 98 s, 2.5 us per permutation
+#: (2.4-2.5 us in three runs at r=10; Python 3.11.7 on a 2-core x86 machine),
+#: so r=13 is about 4.5 hours of work, the cost per permutation growing a
+#: little with r, and growth beyond that is r-fold.
 DEFAULT_ENUM_CEILING = 13
 
-#: A call with more than one worker pools its shards only when it walks at
+#: A call with more than one worker pools its shards only when it counts at
 #: least this many permutations (number of shapes times r!); below that the
-#: pool costs more than it saves.  Medians on a 2-core machine, serial against
-#: two workers: one_face_poly(7) 13.6 vs 33.0 ms, one_face_poly(8) 122 vs 92 ms.
+#: pool costs more than it saves.  Medians of 7 interleaved calls on a 2-core
+#: machine, serial against two workers: one_face_poly(7) 9.4 vs 13.9 ms,
+#: two_face_gf(7) 13-14 vs 23-24 ms, connected_two_face_oracle(7) 26-37 vs
+#: 38-52 ms; one_face_poly(8) 85 vs 58 ms, two_face_gf(8) 151 vs 119 ms.
 _POOL_MIN_PERMS = factorial(8)
 
 
@@ -89,66 +96,89 @@ def _xi_table(lengths: Sequence[int]) -> Tuple[int, ...]:
     return tuple(xi)
 
 
-def _orbit_size(image_rows: Sequence[Sequence[int]], r: int) -> int:
-    """Size of the orbit of point 0 under the given image tables (BFS)."""
-    seen = bytearray(r)
-    seen[0] = 1
+def _joins_blocks(perm: Sequence[int], blocks: Sequence[Sequence[int]], owner: Sequence[int]) -> bool:
+    """Whether sigma = perm and the face permutation act transitively together.
+
+    blocks are the face cycles as lists of points, with point 0 in blocks[0],
+    and owner[p] is the index of the block holding p.  The orbit of 0 under
+    <xi, sigma> is a union of blocks, so it is grown block by block through
+    the images of sigma, and sigma passes iff it reaches every block.
+    """
+    reached = {0}
     stack = [0]
-    count = 1
     while stack:
-        i = stack.pop()
-        for row in image_rows:
-            j = row[i]
-            if not seen[j]:
-                seen[j] = 1
-                count += 1
-                stack.append(j)
-    return count
+        for p in blocks[stack.pop()]:
+            b = owner[perm[p]]
+            if b not in reached:
+                reached.add(b)
+                stack.append(b)
+    return len(reached) == len(blocks)
+
+
+def _face(
+    shape: Sequence[int], connected_only: bool
+) -> Tuple[Tuple[int, ...], bool, List[List[int]], List[int], List[int]]:
+    """(xi, filtered, blocks, owner, counts) for one face shape of a shard walk.
+
+    counts is a flat histogram: counts[cs * (r + 1) + cx] is the number of
+    sigma with cs cycles whose product xi o sigma has cx cycles.
+    """
+    xi = _xi_table(shape)
+    blocks: List[List[int]] = []
+    owner: List[int] = []
+    for length in shape:
+        blocks.append(list(range(len(owner), len(owner) + length)))
+        owner.extend([len(blocks) - 1] * length)
+    counts = [0] * (len(xi) + 1) ** 2
+    return xi, connected_only and len(blocks) > 1, blocks, owner, counts
 
 
 def _count_shard(
-    xi: Tuple[int, ...],
+    shapes: Sequence[Sequence[int]],
     first_image: int,
     connected_only: bool,
-) -> Dict[Tuple[int, int], int]:
-    """Histogram of (cycles(sigma), cycles(xi o sigma)) over one shard of Sym_r.
+) -> List[Dict[Tuple[int, int], int]]:
+    """Histograms of (cycles(sigma), cycles(xi o sigma)) over one shard of Sym_r.
 
-    The shard is the (r-1)! permutations sigma with sigma(0) = first_image.
-    connected_only keeps only sigma whose joint action with xi is transitive.
+    The shard is the (r-1)! permutations sigma with sigma(0) = first_image,
+    each visited once for all face shapes: cycles(sigma) is counted once, then
+    each shape's filter and cycles(xi o sigma).  connected_only keeps only
+    sigma whose joint action with xi is transitive.  One histogram per shape.
     """
-    r = len(xi)
-    counts: Dict[Tuple[int, int], int] = {}
-    mark_s = [-1] * r
-    mark_x = [-1] * r
-    gen = 0
-    rng = range(r)
+    faces = [_face(shape, connected_only) for shape in shapes]
+    r = len(faces[0][0])
+    stride = r + 1
+    points = set(range(r))
+    head = (first_image,)
     for rest in permutations([x for x in range(r) if x != first_image]):
-        perm = (first_image, *rest)
-        if connected_only and _orbit_size((xi, perm), r) != r:
-            continue
-        gen += 1
+        perm = head + rest
+        left = points.copy()
         cs = 0
-        for s in rng:
-            if mark_s[s] != gen:
-                cs += 1
-                j = s
-                while mark_s[j] != gen:
-                    mark_s[j] = gen
-                    j = perm[j]
-        cx = 0
-        for s in rng:
-            if mark_x[s] != gen:
-                cx += 1
-                j = s
-                while mark_x[j] != gen:
-                    mark_x[j] = gen
+        while left:
+            cs += 1
+            s = left.pop()
+            j = perm[s]
+            while j != s:
+                left.remove(j)
+                j = perm[j]
+        row = cs * stride
+        for xi, filtered, blocks, owner, counts in faces:
+            if filtered and not _joins_blocks(perm, blocks, owner):
+                continue
+            left = points.copy()
+            slot = row  # row + cycles(xi o sigma)
+            while left:
+                slot += 1
+                s = left.pop()
+                j = xi[perm[s]]
+                while j != s:
+                    left.remove(j)
                     j = xi[perm[j]]
-        key = (cs, cx)
-        if key in counts:
-            counts[key] += 1
-        else:
-            counts[key] = 1
-    return counts
+            counts[slot] += 1
+    return [
+        {divmod(slot, stride): c for slot, c in enumerate(face[-1]) if c}
+        for face in faces
+    ]
 
 
 def cycle_pair_counts(
@@ -175,17 +205,17 @@ def _shape_counts(
 ) -> List[Dict[Tuple[int, int], int]]:
     """cycle_pair_counts for several face shapes of the same r, one histogram each.
 
-    Every shape is walked as r shards, one per sigma(0).  The shards run in
-    this process, or in one process pool for all shapes when there is more
-    than one worker and at least _POOL_MIN_PERMS permutations to walk.
+    Sym_r is walked once, as r shards, one per sigma(0), each shard counting
+    every shape.  The shards run in this process, or in one process pool when
+    there is more than one worker and at least _POOL_MIN_PERMS permutations
+    (number of shapes times r!) to count.
     """
     r = sum(shapes[0])
     if r < 1:
         raise ValueError(f"r must be a positive integer, got {r}")
     check_ceiling(r, ceiling)
-    xis = [xi for xi in map(_xi_table, shapes) for _ in range(r)]
-    images = list(range(r)) * len(shapes)
-    flags = [connected_only] * len(xis)
+    for shape in shapes:
+        _xi_table(shape)  # a malformed shape raises here, before any pool starts
     merged: List[Dict[Tuple[int, int], int]] = [{} for _ in shapes]
     with ExitStack() as stack:
         run = map
@@ -193,10 +223,10 @@ def _shape_counts(
             from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only pooled calls pay it
 
             run = stack.enter_context(ProcessPoolExecutor(max_workers=min(workers, r))).map
-        for i, shard in enumerate(run(_count_shard, xis, images, flags)):
-            counts = merged[i // r]
-            for key, c in shard.items():
-                counts[key] = counts.get(key, 0) + c
+        for shard in run(_count_shard, [shapes] * r, range(r), [connected_only] * r):
+            for counts, histogram in zip(merged, shard):
+                for key, c in histogram.items():
+                    counts[key] = counts.get(key, 0) + c
     return merged
 
 

@@ -17,9 +17,10 @@ contributes D/b for [a, b] plus D/a for [b, a] when a != b.  The two
 divisions stay separate: each one is asserted exact, not assumed, and
 raises NotDivisible if the equivalence classes ever fail to have size b (or
 a), which would be a real finding rather than something to hide.  All the
-splits of one call are walked as shards of one enumeration call, in this
-process or, given more than one worker and at least 8! permutations in all
-(so from r = 8 on), in one shared process pool.
+splits of one call are counted in one walk of Sym_r that visits each sigma
+once for every split, as r shards run in this process or, given more than
+one worker and at least 8! permutations in all (so from r = 8 on), in one
+process pool.
 
 connected_two_face_oracle recomputes the same polynomial a second,
 structurally different way, by enumerating only the sigma whose joint action

@@ -1,31 +1,50 @@
-"""The permutation walk under the enumeration: the shards of Sym_r and the orbit test.
+"""The permutation walk under the enumeration: the shards of Sym_r and the transitivity filter.
 
 Both live in hypermaps.enumeration: _count_shard walks the permutations with
-one image of dart 0, and _orbit_size tests transitivity.
+one image of dart 0 once for every face shape of a call, and _joins_blocks
+tests transitivity on the cycles of the face permutation.
 """
 
 import math
+from itertools import permutations
 
 from hypermaps import closed_form
-from hypermaps.enumeration import _count_shard, _orbit_size, _xi_table, cycle_pair_counts
+from hypermaps.enumeration import _count_shard, _face, _joins_blocks, _xi_table, cycle_pair_counts
+
+SHAPES_6 = [[6], [5, 1], [4, 2], [3, 3], [2, 2, 2], [3, 2, 1], [1] * 6]
 
 
-def _merged_shards(shape, connected_only):
-    xi = _xi_table(shape)
-    total = {}
-    for i in range(len(xi)):
-        shard = _count_shard(xi, i, connected_only)
-        if not connected_only:
-            assert sum(shard.values()) == math.factorial(len(xi) - 1)
-        for key, c in shard.items():
-            total[key] = total.get(key, 0) + c
-    return total
+def _merged_shards(shapes, connected_only):
+    r = sum(shapes[0])
+    totals = [{} for _ in shapes]
+    for i in range(r):
+        shard = _count_shard(shapes, i, connected_only)
+        assert len(shard) == len(shapes)
+        for total, histogram in zip(totals, shard):
+            if not connected_only:
+                assert sum(histogram.values()) == math.factorial(r - 1)
+            for key, c in histogram.items():
+                total[key] = total.get(key, 0) + c
+    return totals
+
+
+def _orbit_of_zero(xi, perm):
+    """Point-level BFS: the orbit of dart 0 under <xi, perm>."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in (xi[i], perm[i]):
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return seen
 
 
 def test_shards_walk_sym_r():
     'the shard of each sigma(0) walks (r-1)! permutations, and the r shards make up Sym_r'
     for r in range(1, 8):
-        total = _merged_shards([r], False)
+        [total] = _merged_shards([[r]], False)
         assert total == cycle_pair_counts([r])
         # summed over xi o sigma, the histogram counts Sym_r by cycles of sigma
         marginal = {}
@@ -33,17 +52,41 @@ def test_shards_walk_sym_r():
             marginal[cs] = marginal.get(cs, 0) + c
         assert marginal == dict(enumerate(closed_form.stirling_row(r), start=1))
     # two loops of 3 and 2 darts: sigma is disconnected exactly when it keeps both blocks
-    connected = _merged_shards([3, 2], True)
+    [connected] = _merged_shards([[3, 2]], True)
     assert connected == cycle_pair_counts([3, 2], connected_only=True)
     assert sum(connected.values()) == math.factorial(5) - math.factorial(3) * math.factorial(2)
 
 
 def test_is_transitive():
-    for r in (1, 2, 5, 9):
-        full_cycle = [(i + 1) % r for i in range(r)]
-        assert _orbit_size([full_cycle], r) == r
-    assert _orbit_size([[0, 1]], 2) == 1
-    # two fixed-point loops joined by a transposition: connected
-    assert _orbit_size([[0, 1], [1, 0]], 2) == 2
-    # the face shape [2, 1] alone leaves dart 2 unreached
-    assert _orbit_size([[1, 0, 2]], 3) == 2
+    'the block-level filter agrees with a point-level BFS on every sigma in Sym_r'
+    shapes = [[1], [2], [5], [6], [1, 1], [2, 1], [3, 3], [4, 2], [2, 2, 1], [3, 2, 1],
+              [2, 2, 2], [3, 1, 1, 1], [2, 1, 1, 1, 1], [1] * 5, [1] * 6]
+    for shape in shapes:
+        r = sum(shape)
+        xi, filtered, blocks, owner, _ = _face(shape, True)
+        assert xi == _xi_table(shape)
+        assert filtered == (len(shape) > 1)
+        assert sorted(p for block in blocks for p in block) == list(range(r))
+        assert all(owner[p] == b for b, block in enumerate(blocks) for p in block)
+        joined = 0
+        for perm in permutations(range(r)):
+            expected = len(_orbit_of_zero(xi, perm)) == r
+            assert _joins_blocks(perm, blocks, owner) == expected, (shape, perm)
+            joined += expected
+        if len(shape) == 1:
+            assert joined == math.factorial(r)
+    # two fixed points joined only by the transposition
+    _, _, blocks, owner, _ = _face([1, 1], True)
+    assert _joins_blocks((1, 0), blocks, owner)
+    assert not _joins_blocks((0, 1), blocks, owner)
+
+
+def test_multi_shape_shard_matches_single_shape_shards():
+    'one walk for several face shapes gives each shape the histogram of its own walk'
+    for connected_only in (False, True):
+        for first_image in range(6):
+            together = _count_shard(SHAPES_6, first_image, connected_only)
+            apart = [_count_shard([shape], first_image, connected_only)[0] for shape in SHAPES_6]
+            assert together == apart
+        totals = _merged_shards(SHAPES_6, connected_only)
+        assert totals == [cycle_pair_counts(s, connected_only=connected_only) for s in SHAPES_6]
