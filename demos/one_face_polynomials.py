@@ -9,7 +9,7 @@ three-term recurrence.
 
 from math import factorial
 
-from hypermaps import cli, closed_form, enumeration, recursion
+from hypermaps import closed_form, enumeration, recursion
 
 print("the first six generating polynomials (recurrence):")
 for r, poly in recursion.stream(6):
@@ -28,5 +28,5 @@ for r in range(1, 8):
 
 print()
 print("coefficient table for r = 4 (rows: r, e, v, count):")
-for row in cli.rows_for_poly(4, enumeration.one_face_poly(4)):
-    print("  ", row)
+for (e, v), count in enumeration.one_face_poly(4).sorted_terms():
+    print("  ", (4, e, v, count))

@@ -4,7 +4,8 @@ Subcommands: poly, table, count, stirling, avg-trace, verify, bench.
 Output goes to stdout unless --out is given; --out replaces its file
 atomically, so a failed write leaves no partial file.  Exit status is 0 only
 when every requested computation or check succeeded; enumeration requests
-above the ceiling exit with 2 (override with --force), as do bad arguments
+above the ceiling exit with 2 (override with --force, which warns on stderr
+how long the walk takes), as do bad arguments
 and an --out that cannot be written; failed verify checks exit with 1.
 verify reports each check's elapsed time on stderr.
 
@@ -21,7 +22,7 @@ import os
 import sys
 import time
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .polynomial import BivarPoly, NotDivisible
 from .enumeration import DEFAULT_ENUM_CEILING, LimitExceeded
@@ -37,28 +38,26 @@ _DEFAULT_METHOD = "recursion"
 
 # table rendering -------------------------------------------------------------
 
-Row = Tuple[int, int, int, int]  # (r, e, v, count)
 
-
-def rows_for_poly(r: int, poly: BivarPoly) -> List[Row]:
-    return [(r, e, v, c) for (e, v), c in poly.sorted_terms()]
-
-
-def _csv(header: str, rows: Sequence[tuple]) -> str:
+def _csv(header: str, rows: Iterable[tuple]) -> str:
     """The header line, then one comma-joined line per row."""
     lines = [header, *(",".join(map(str, row)) for row in rows)]
     return "\n".join(lines) + "\n"
 
 
-def _json_group(rows: Sequence[Row]) -> List[dict]:
-    groups: Dict[int, List[dict]] = {}
-    for (r, e, v, c) in rows:
-        groups.setdefault(r, []).append({"e": e, "v": v, "c": str(c)})
-    return [{"r": r, "terms": terms} for r, terms in sorted(groups.items())]
+def _table(pairs: Sequence[Tuple[int, BivarPoly]], fmt: str, listed: bool = True) -> str:
+    """The (r, P_r) pairs as JSON objects {r, terms}, or else as CSV rows r,e,v,count.
 
-
-def render_table_json(rows: Sequence[Row]) -> str:
-    return json.dumps(_json_group(rows)) + "\n"
+    JSON gives a list, unless listed is false and there is one pair.
+    """
+    if fmt == "json":
+        objs = [
+            {"r": r, "terms": [{"e": e, "v": v, "c": str(c)} for (e, v), c in poly.sorted_terms()]}
+            for r, poly in pairs
+        ]
+        return json.dumps(objs if listed or len(objs) > 1 else objs[0]) + "\n"
+    rows = ((r, e, v, c) for r, poly in pairs for (e, v), c in poly.sorted_terms())
+    return _csv("r,e,v,count", rows)
 
 
 # argument plumbing -----------------------------------------------------------
@@ -92,8 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
         if enumerates:
             p.add_argument("--threads", default="1", help="worker processes for enumeration, or 'auto'")
-            p.add_argument("--enum-ceiling", type=int, default=DEFAULT_ENUM_CEILING)
-            p.add_argument("--force", action="store_true", help="ignore the enumeration ceiling")
+            p.add_argument("--force", action="store_true", help="enumerate past the ceiling (warns of the time)")
 
     p_poly = sub.add_parser("poly", help="print a generating polynomial")
     common(p_poly)
@@ -155,36 +153,45 @@ def _r_list(args) -> List[int]:
     return rs
 
 
-def _enum_settings(args, rs: Sequence[int]) -> Tuple[Optional[int], int]:
-    """Ceiling and worker count for enumerating each r in rs (none: --threads only).
+def _enum_settings(args, rs: Sequence[int]) -> Dict[str, Optional[int]]:
+    """The enumeration keywords (ceiling, workers) for enumerating each r in rs.
 
-    Refuses an r above the ceiling before any work.  --force, or a ceiling
-    raised far enough to let an r above the default through, warns what the
-    largest r costs.
+    With rs empty only --threads is read.  An r above DEFAULT_ENUM_CEILING is
+    refused before any work unless --force is given, which warns on stderr
+    what enumerating the largest r costs.
     """
-    workers = _threads(args)
-    ceiling = None if args.force else args.enum_ceiling
+    enum = {"ceiling": None if args.force else DEFAULT_ENUM_CEILING, "workers": _threads(args)}
     if rs:
         worst = max(rs)
-        enumeration.check_ceiling(worst, ceiling)
-        if args.force or worst > DEFAULT_ENUM_CEILING:
-            work = worst * factorial(worst)
-            print(
-                f"warning: ceiling override; enumeration at r={worst} is about "
-                f"10^{len(str(work)) - 1} cycle operations",
-                file=sys.stderr,
-            )
-    return ceiling, workers
+        enumeration.check_ceiling(worst, enum["ceiling"])
+        if args.force:
+            print(f"warning: ceiling override; {_serial_estimate(worst)}", file=sys.stderr)
+    return enum
 
 
-def _one_face(method, rs, ceiling, workers) -> List[Tuple[int, BivarPoly]]:
+def _serial_estimate(r: int) -> str:
+    """The permutations in Sym_r and the serial time to visit them at the documented rate."""
+    perms = factorial(r)
+    ns = perms * enumeration._NS_PER_PERM
+    units = (("years", 31_557_600), ("days", 86_400), ("hours", 3_600), ("minutes", 60), ("seconds", 1))
+    for unit, seconds in units:
+        tenths = ns * 10 // (seconds * 10**9)  # integers: r! outgrows a float past r = 170
+        if tenths >= 10:
+            break
+    return (
+        f"enumeration at r={r} visits {r}! = {perms} permutations, about {tenths // 10}.{tenths % 10} "
+        f"{unit} serial at {enumeration._NS_PER_PERM / 1000:g} us per permutation"
+    )
+
+
+def _one_face(method, rs, enum) -> List[Tuple[int, BivarPoly]]:
     """(r, P_r) for each r of the increasing rs, built by the named construction."""
     if method == "recursion":
         wanted = set(rs)
         return [(r, poly) for r, poly in recursion.stream(max(rs)) if r in wanted]
     if method == "closed":
         return [(r, closed_form.one_face_poly(r)) for r in rs]
-    return [(r, enumeration.one_face_poly(r, ceiling=ceiling, workers=workers)) for r in rs]
+    return [(r, enumeration.one_face_poly(r, **enum)) for r in rs]
 
 
 def _polys(args, rs: Sequence[int]) -> List[Tuple[int, BivarPoly]]:
@@ -192,35 +199,24 @@ def _polys(args, rs: Sequence[int]) -> List[Tuple[int, BivarPoly]]:
     if args.faces == 2:
         if args.method not in (None, "enumerate"):
             raise ValueError(f"--method {args.method} does not apply to --faces 2")
-        ceiling, workers = _enum_settings(args, rs)
-        return [(r, two_face.two_face_gf(r, ceiling=ceiling, workers=workers).gf) for r in rs]
+        enum = _enum_settings(args, rs)
+        return [(r, two_face.two_face_gf(r, **enum).gf) for r in rs]
     method = args.method or _DEFAULT_METHOD
-    ceiling, workers = _enum_settings(args, rs if method == "enumerate" else ())
-    return _one_face(method, rs, ceiling, workers)
+    return _one_face(method, rs, _enum_settings(args, rs if method == "enumerate" else ()))
 
 
 # subcommands ------------------------------------------------------------------
 
 
 def _cmd_poly(args) -> Tuple[str, int]:
-    rs = _r_list(args)
-    pairs = _polys(args, rs)
+    pairs = _polys(args, _r_list(args))
     if args.format == "text":
         return "".join(f"{poly.render()}\n" for _, poly in pairs), 0
-    rows = [row for r, poly in pairs for row in rows_for_poly(r, poly)]
-    if args.format == "csv":
-        return _csv("r,e,v,count", rows), 0
-    if len(pairs) == 1:
-        return json.dumps(_json_group(rows)[0]) + "\n", 0
-    return render_table_json(rows), 0
+    return _table(pairs, args.format, listed=False), 0
 
 
 def _cmd_table(args) -> Tuple[str, int]:
-    rs = _r_list(args)
-    rows = [row for r, poly in _polys(args, rs) for row in rows_for_poly(r, poly)]
-    if args.format == "json":
-        return render_table_json(rows), 0
-    return _csv("r,e,v,count", rows), 0
+    return _table(_polys(args, _r_list(args)), args.format), 0
 
 
 def _cmd_count(args) -> Tuple[str, int]:
@@ -267,16 +263,16 @@ def _cmd_bench(args) -> Tuple[str, int]:
         raise ValueError("--reps must be at least 1")
     rs = _r_list(args)
     method = args.method or _DEFAULT_METHOD
-    ceiling, workers = _enum_settings(args, rs if method == "enumerate" else ())
+    enum = _enum_settings(args, rs if method == "enumerate" else ())
     resolution_ms = time.get_clock_info("perf_counter").resolution * 1000.0
 
     records = []
     for r in rs:
-        [(_, poly)] = _one_face(method, [r], ceiling, workers)  # warm-up; poly gives the count
+        [(_, poly)] = _one_face(method, [r], enum)  # warm-up; poly gives the count
         times = []
         for _ in range(args.reps):
             t0 = time.perf_counter()
-            _one_face(method, [r], ceiling, workers)
+            _one_face(method, [r], enum)
             times.append((time.perf_counter() - t0) * 1000.0)
         ms = statistics.median(times)
         flag = "below_resolution" if ms < resolution_ms else ""
@@ -294,23 +290,19 @@ def _cmd_bench(args) -> Tuple[str, int]:
 # verify ------------------------------------------------------------------------
 
 
-def _check_base_cases(ceiling, workers):
+def _check_base_cases(enum):
     expected = {1: BivarPoly({(1, 1): 1}), 2: BivarPoly({(2, 1): 1, (1, 2): 1})}
     for method in _METHODS:
-        for r, poly in _one_face(method, [1, 2], ceiling, workers):
+        for r, poly in _one_face(method, [1, 2], enum):
             if poly != expected[r]:
                 return False, f"mismatch at r={r}"
     return True, "P_1 = m*n and P_2 = m^2*n + m*n^2 by all three methods"
 
 
-def _check_agreement(rmax, ceiling, workers):
+def _check_agreement(rmax, enum):
     recs = dict(recursion.stream(rmax))
     for r in range(1, rmax + 1):
-        if not (
-            enumeration.one_face_poly(r, ceiling=ceiling, workers=workers)
-            == closed_form.one_face_poly(r)
-            == recs[r]
-        ):
+        if not enumeration.one_face_poly(r, **enum) == closed_form.one_face_poly(r) == recs[r]:
             return False, f"methods disagree at r={r}"
     return True, f"enumerate = closed = recursion for r = 1..{rmax}"
 
@@ -330,13 +322,13 @@ def _check_totals():
     return True, f"P_r(1,1) = r! for r = 1..13; cumulative total {cumulative}"
 
 
-def _check_stirling(rmax, ceiling, workers):
+def _check_stirling(rmax, enum):
     for r in range(1, rmax + 1):
         row = {k: c for k, c in enumerate(closed_form.stirling_row(r), start=1) if c}
         if closed_form.one_face_poly(r).substitute_n(1) != row:
             return False, f"marginal != Stirling row at r={r}"
         # the cycle histogram of Sym_r: the enumerated P_r with n = 1
-        if enumeration.one_face_poly(r, ceiling=ceiling, workers=workers).substitute_n(1) != row:
+        if enumeration.one_face_poly(r, **enum).substitute_n(1) != row:
             return False, f"cycle histogram != Stirling row at r={r}"
     return True, f"P_r(m,1) matches Stirling row and cycle histogram for r = 1..{rmax}"
 
@@ -380,11 +372,11 @@ def _check_quantum(m_max=8, n_max=8, r_max=12):
     return True, f"polynomial and truncated-sum routes agree for m,n <= {m_max}, r <= {r_max}"
 
 
-def _check_two_face(rmax, ceiling, workers):
+def _check_two_face(rmax, enum):
     expected_small = {2: 1, 3: 6, 4: 34}
     for r in range(2, rmax + 1):
-        result = two_face.two_face_gf(r, ceiling=ceiling, workers=workers)
-        oracle = two_face.connected_two_face_oracle(r, ceiling=ceiling, workers=workers)
+        result = two_face.two_face_gf(r, **enum)
+        oracle = two_face.connected_two_face_oracle(r, **enum)
         if result.gf != oracle:
             return False, f"subtraction route != transitive oracle at r={r}"
         if result.total != two_face.two_face_total(r):
@@ -399,16 +391,16 @@ def _cmd_verify(args) -> Tuple[str, int]:
         raise ValueError("--r-max must be at least 2, the smallest two-face check")
     rmax = args.r_max
     # method-agreement enumerates every r up to rmax, so refuse it before any check runs
-    ceiling, workers = _enum_settings(args, [rmax])
+    enum = _enum_settings(args, [rmax])
     checks = [
-        ("base-cases", lambda: _check_base_cases(ceiling, workers)),
-        ("method-agreement", lambda: _check_agreement(rmax, ceiling, workers)),
+        ("base-cases", lambda: _check_base_cases(enum)),
+        ("method-agreement", lambda: _check_agreement(rmax, enum)),
         ("totals", _check_totals),
-        ("stirling-marginal", lambda: _check_stirling(min(8, rmax), ceiling, workers)),
+        ("stirling-marginal", lambda: _check_stirling(min(8, rmax), enum)),
         ("symmetry-parity", _check_symmetry_parity),
         ("certificate", _check_certificate),
         ("quantum-moments", _check_quantum),
-        ("two-face", lambda: _check_two_face(min(8, rmax), ceiling, workers)),
+        ("two-face", lambda: _check_two_face(min(8, rmax), enum)),
     ]
     lines = []
     passed = 0

@@ -52,6 +52,10 @@ from .polynomial import BivarPoly
 #: little with r, and growth beyond that is r-fold.
 DEFAULT_ENUM_CEILING = 13
 
+#: The serial rate quoted above, in nanoseconds per permutation, from which
+#: the CLI's --force warning estimates a run's time.
+_NS_PER_PERM = 2500
+
 #: A call with more than one worker pools its shards only when it counts at
 #: least this many permutations (number of shapes times r!); below that the
 #: pool costs more than it saves.  Medians of 7 interleaved calls on a 2-core
@@ -67,7 +71,7 @@ class LimitExceeded(RuntimeError):
     def __init__(self, r: int, ceiling: int):
         super().__init__(
             f"enumeration over Sym_{r} exceeds the ceiling of {ceiling} "
-            f"(the work factor is r*r!; raise the ceiling explicitly to force)"
+            f"(the work factor is r*r!; --force on the command line, or ceiling=None, overrides it)"
         )
         self.r = r
         self.ceiling = ceiling
@@ -77,23 +81,6 @@ def check_ceiling(r: int, ceiling: Optional[int]) -> None:
     """Raise LimitExceeded if enumerating Sym_r would pass the ceiling (None: no ceiling)."""
     if ceiling is not None and r > ceiling:
         raise LimitExceeded(r, ceiling)
-
-
-def _xi_table(lengths: Sequence[int]) -> Tuple[int, ...]:
-    """Image table of the canonical face permutation for the given cycle lengths.
-
-    Cycles occupy consecutive blocks: lengths [a, b] give (0..a-1)(a..a+b-1).
-    """
-    if not lengths:
-        raise ValueError("face shape needs at least one cycle")
-    xi: List[int] = []
-    offset = 0
-    for length in lengths:
-        if length < 1:
-            raise ValueError(f"cycle lengths must be positive, got {length}")
-        xi.extend(offset + ((i + 1) % length) for i in range(length))
-        offset += length
-    return tuple(xi)
 
 
 def _joins_blocks(perm: Sequence[int], blocks: Sequence[Sequence[int]], owner: Sequence[int]) -> bool:
@@ -120,17 +107,26 @@ def _face(
 ) -> Tuple[Tuple[int, ...], bool, List[List[int]], List[int], List[int]]:
     """(xi, filtered, blocks, owner, counts) for one face shape of a shard walk.
 
+    xi is the image table of the canonical face permutation: its cycles are
+    the blocks of consecutive points, so lengths [a, b] give
+    (0..a-1)(a..a+b-1), and owner[p] is the index of the block holding p.
     counts is a flat histogram: counts[cs * (r + 1) + cx] is the number of
     sigma with cs cycles whose product xi o sigma has cx cycles.
     """
-    xi = _xi_table(shape)
+    if not shape:
+        raise ValueError("face shape needs at least one cycle")
+    xi: List[int] = []
     blocks: List[List[int]] = []
     owner: List[int] = []
     for length in shape:
-        blocks.append(list(range(len(owner), len(owner) + length)))
+        if length < 1:
+            raise ValueError(f"cycle lengths must be positive, got {length}")
+        block = list(range(len(xi), len(xi) + length))
+        xi.extend(block[1:] + block[:1])
+        blocks.append(block)
         owner.extend([len(blocks) - 1] * length)
     counts = [0] * (len(xi) + 1) ** 2
-    return xi, connected_only and len(blocks) > 1, blocks, owner, counts
+    return tuple(xi), connected_only and len(blocks) > 1, blocks, owner, counts
 
 
 def _count_shard(
@@ -215,7 +211,7 @@ def _shape_counts(
         raise ValueError(f"r must be a positive integer, got {r}")
     check_ceiling(r, ceiling)
     for shape in shapes:
-        _xi_table(shape)  # a malformed shape raises here, before any pool starts
+        _face(shape, connected_only)  # a malformed shape raises here, before any pool starts
     merged: List[Dict[Tuple[int, int], int]] = [{} for _ in shapes]
     with ExitStack() as stack:
         run = map

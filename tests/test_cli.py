@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypermaps import closed_form
-from hypermaps.cli import main
+from hypermaps.cli import _serial_estimate, main
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -139,6 +139,54 @@ def test_table_golden_output(capsys):
     assert out == GOLDEN_TABLE_R4
 
 
+_TERMS_2 = '{"r": 2, "terms": [{"e": 2, "v": 1, "c": "1"}, {"e": 1, "v": 2, "c": "1"}]}'
+_TERMS_3 = (
+    '{"r": 3, "terms": [{"e": 3, "v": 1, "c": "1"}, {"e": 2, "v": 2, "c": "3"}, '
+    '{"e": 1, "v": 3, "c": "1"}, {"e": 1, "v": 1, "c": "1"}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            "poly --r-min 2 --r-max 3 --format csv",
+            "r,e,v,count\n2,2,1,1\n2,1,2,1\n3,3,1,1\n3,2,2,3\n3,1,3,1\n3,1,1,1\n",
+        ),
+        ("poly --r-min 2 --r-max 3 --format json", f"[{_TERMS_2}, {_TERMS_3}]\n"),
+        ("table --r 3", "r,e,v,count\n3,3,1,1\n3,2,2,3\n3,1,3,1\n3,1,1,1\n"),
+        ("table --r 3 --format json", f"[{_TERMS_3}]\n"),
+        ("count --r 5 --format json", '[{"r": 5, "faces": 1, "count": "120"}]\n'),
+        (
+            "count --faces 2 --r-min 3 --r-max 4 --format json",
+            '[{"r": 3, "faces": 2, "count": "6"}, {"r": 4, "faces": 2, "count": "34"}]\n',
+        ),
+        ("count --r-min 1 --r-max 3", "r,faces,count\n1,1,1\n2,1,2\n3,1,6\n"),
+        ("stirling --r 4 --format json", '[{"r": 4, "row": ["6", "11", "6", "1"]}]\n'),
+        ("stirling --r-min 1 --r-max 4", "1\n1 1\n2 3 1\n6 11 6 1\n"),
+    ],
+)
+def test_every_format_is_pinned(capsys, argv, expected):
+    # one case per (subcommand, format) pair that no other test pins byte
+    # for byte; JSON for a single r is a list everywhere except in poly
+    assert run_cli(capsys, *argv.split()) == (0, expected)
+
+
+def test_bench_json_shape(capsys):
+    code, out = run_cli(capsys, "bench", "--r-min", "2", "--r-max", "3", "--reps", "1", "--format", "json")
+    assert code == 0
+    assert out.endswith("]\n") and out.count("\n") == 1
+    objs = json.loads(out)
+    assert [list(obj) for obj in objs] == [["method", "r", "ms", "count", "flag"]] * 2
+    assert [(obj["method"], obj["r"], obj["count"]) for obj in objs] == [
+        ("recursion", 2, "2"),
+        ("recursion", 3, "6"),
+    ]
+    for obj in objs:
+        assert isinstance(obj["ms"], float) and obj["ms"] >= 0.0
+        assert obj["flag"] in ("", "below_resolution")
+
+
 def test_count_single(capsys):
     code, out = run_cli(capsys, "count", "--r", "13")
     assert code == 0
@@ -200,12 +248,13 @@ def test_limit_exceeded_exit_code(capsys):
     assert "ceiling" in captured.err
 
 
-def test_force_overrides_ceiling(capsys):
-    code, out = run_cli(
-        capsys, "poly", "--r", "7", "--method", "enumerate", "--enum-ceiling", "5", "--force"
-    )
-    assert code == 0
-    assert out.count("\n") == 1
+def test_force_overrides_ceiling(capsys, monkeypatch):
+    argv = ["poly", "--r", "7", "--method", "enumerate"]
+    expected = run_cli(capsys, *argv)[1]
+    monkeypatch.setattr("hypermaps.cli.DEFAULT_ENUM_CEILING", 5)
+    assert run_cli(capsys, *argv) == (2, "")
+    assert run_cli(capsys, *argv, "--force") == (0, expected)
+    assert expected.count("\n") == 1
 
 
 def test_bad_range_exit_code(capsys):
@@ -258,7 +307,12 @@ def test_unread_options_are_rejected(capsys):
         for flag in (["--threads", "2"], ["--enum-ceiling", "5"], ["--force"])
     ]
     rejected += [["verify", "--format", "json"], ["bench", "--r", "5", "--faces", "2"]]
-    assert len(rejected) == 11
+    # --force is the one switch past the enumeration ceiling
+    rejected += [
+        [*base, "--enum-ceiling", "20"]
+        for base in (["poly", "--r", "3"], ["table", "--r", "3"], ["verify"], ["bench", "--r", "3"])
+    ]
+    assert len(rejected) == 15
     for argv in rejected:
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -338,23 +392,32 @@ def test_verify_default_range_passes(capsys):
 
 
 def test_verify_force_warns(capsys):
+    expected = run_cli(capsys, "verify", "--r-max", "3")[1]
     code = main(["verify", "--r-max", "3", "--force"])
     captured = capsys.readouterr()
     assert code == 0
-    assert captured.err.splitlines()[0].startswith("warning: ceiling override")
-    assert captured.out == run_cli(capsys, "verify", "--r-max", "3")[1]
-
-
-def test_raised_ceiling_warns(capsys, monkeypatch):
-    # an --enum-ceiling above the default starts a costly walk, so it warns like --force
-    argv = ["poly", "--r", "7", "--method", "enumerate", "--enum-ceiling", "7"]
-    expected = run_cli(capsys, *argv)[1]
-    monkeypatch.setattr("hypermaps.cli.DEFAULT_ENUM_CEILING", 5)
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 0
-    assert captured.err.splitlines()[0].startswith("warning: ceiling override")
+    assert captured.err.splitlines()[0] == (
+        "warning: ceiling override; enumeration at r=3 visits 3! = 6 permutations, "
+        "about 0.0 seconds serial at 2.5 us per permutation"
+    )
     assert captured.out == expected
+
+
+@pytest.mark.parametrize(
+    "r, estimate",
+    [
+        (10, "10! = 3628800 permutations, about 9.0 seconds"),
+        (11, "11! = 39916800 permutations, about 1.6 minutes"),
+        (13, "13! = 6227020800 permutations, about 4.3 hours"),
+        (14, "14! = 87178291200 permutations, about 2.5 days"),
+        (17, "17! = 355687428096000 permutations, about 28.1 years"),
+    ],
+)
+def test_force_warning_estimates_serial_time(r, estimate):
+    # at the documented 2.5 us per permutation, in whole tenths of the largest unit
+    assert _serial_estimate(r) == (
+        f"enumeration at r={r} visits {estimate} serial at 2.5 us per permutation"
+    )
 
 
 def test_bench_csv_shape(capsys):

@@ -1,3 +1,5 @@
+from math import comb, factorial, prod
+
 import pytest
 
 from hypermaps import closed_form, enumeration
@@ -35,6 +37,33 @@ def test_recursion_matches_closed_form_to_twenty():
 def test_recursion_matches_enumeration():
     for r, poly in stream(8):
         assert poly == enumeration.one_face_poly(r)
+
+
+@pytest.fixture(scope="module")
+def streamed_200():
+    return dict(stream(200))
+
+
+def test_genus_zero_row_is_narayana(streamed_200):
+    'planar maps: the coefficient of m^e*n^(r+1-e) is the Narayana number C(r,e)C(r,e-1)/r'
+    for r, poly in streamed_200.items():
+        for e in range(1, r + 1):
+            assert poly.coefficient(e, r + 1 - e) == comb(r, e) * comb(r, e - 1) // r, (r, e)
+
+
+def test_one_edge_one_vertex_count(streamed_200):
+    'for odd r the coefficient of m*n is 2(r-1)!/(r+1), the one-vertex one-face maps'
+    for r, poly in streamed_200.items():
+        expected = 2 * factorial(r - 1) // (r + 1) if r % 2 else 0
+        assert poly.coefficient(1, 1) == expected, r
+
+
+@pytest.mark.parametrize("r", [100, 150, 200])
+def test_large_r_matches_truncated_sum(streamed_200, r):
+    'P_r(m, n) = avg_trace_power_alt(m, n, r) * mn(mn+1)...(mn+r-1), a route with no polynomial'
+    for m, n in ((2, 3), (7, 5), (r + 1, r + 2)):
+        rising = prod(range(m * n, m * n + r))
+        assert streamed_200[r].eval_at(m, n) == closed_form.avg_trace_power_alt(m, n, r) * rising, (m, n)
 
 
 def test_stream_covers_range():
