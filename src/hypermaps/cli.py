@@ -170,7 +170,7 @@ def _enum_settings(args, rs: Sequence[int]) -> Dict[str, Optional[int]]:
 
 
 def _serial_estimate(r: int) -> str:
-    """The permutations in Sym_r and the serial time to visit them at the documented rate."""
+    """The permutations in Sym_r and the serial time to visit them, as powers of ten past 20 digits."""
     perms = factorial(r)
     ns = perms * enumeration._NS_PER_PERM
     units = (("years", 31_557_600), ("days", 86_400), ("hours", 3_600), ("minutes", 60), ("seconds", 1))
@@ -178,10 +178,20 @@ def _serial_estimate(r: int) -> str:
         tenths = ns * 10 // (seconds * 10**9)  # integers: r! outgrows a float past r = 170
         if tenths >= 10:
             break
+    count = f"= {perms}" if perms < 10**20 else f"~ {_power_of_ten(perms)}"
+    span = f"{tenths // 10}.{tenths % 10}" if tenths < 10**21 else _power_of_ten(tenths // 10)
     return (
-        f"enumeration at r={r} visits {r}! = {perms} permutations, about {tenths // 10}.{tenths % 10} "
+        f"enumeration at r={r} visits {r}! {count} permutations, about {span} "
         f"{unit} serial at {enumeration._NS_PER_PERM / 1000:g} us per permutation"
     )
+
+
+def _power_of_ten(x: int) -> str:
+    """x >= 10 as d.dek, truncated, by integer arithmetic alone (x may have any size)."""
+    k = (x.bit_length() - 1) * 301_029 // 1_000_000  # 0.301029 < log10(2), so 10**k <= x
+    while 10 ** (k + 1) <= x:
+        k += 1
+    return f"{x // 10**k}.{x // 10 ** (k - 1) % 10}e{k}"
 
 
 def _one_face(method, rs, enum) -> List[Tuple[int, BivarPoly]]:

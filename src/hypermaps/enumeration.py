@@ -20,8 +20,8 @@ polynomial-time closed form and the recurrence are checked against.  This is
 the only module that walks permutations, and the standard library's
 itertools.permutations generates them; the transitivity test (_joins_blocks)
 lives here too.  It tests transitivity on the cycles of xi rather than on
-points: the orbit of dart 0 under <xi, sigma> is a union of xi's cycles, so
-it is grown cycle by cycle through the images of sigma.
+points, growing an orbit of <xi, sigma> cycle by cycle and stopping once it
+holds them all; each sigma is still visited once and its cycles recounted.
 
 One call walks Sym_r once, for all of its face shapes (which share r), split
 into r shards by the image of dart 0, serial or not.  The shard with
@@ -60,8 +60,8 @@ _NS_PER_PERM = 2500
 #: least this many permutations (number of shapes times r!); below that the
 #: pool costs more than it saves.  Medians of 7 interleaved calls on a 2-core
 #: machine, serial against two workers: one_face_poly(7) 9.4 vs 13.9 ms,
-#: two_face_gf(7) 13-14 vs 23-24 ms, connected_two_face_oracle(7) 26-37 vs
-#: 38-52 ms; one_face_poly(8) 85 vs 58 ms, two_face_gf(8) 151 vs 119 ms.
+#: two_face_gf(7) 13-14 vs 23-24 ms, connected_two_face_oracle(7) 18-23 vs
+#: 22-30 ms; one_face_poly(8) 85 vs 58 ms, two_face_gf(8) 151 vs 119 ms.
 _POOL_MIN_PERMS = factorial(8)
 
 
@@ -86,20 +86,25 @@ def check_ceiling(r: int, ceiling: Optional[int]) -> None:
 def _joins_blocks(perm: Sequence[int], blocks: Sequence[Sequence[int]], owner: Sequence[int]) -> bool:
     """Whether sigma = perm and the face permutation act transitively together.
 
-    blocks are the face cycles as lists of points, with point 0 in blocks[0],
-    and owner[p] is the index of the block holding p.  The orbit of 0 under
-    <xi, sigma> is a union of blocks, so it is grown block by block through
-    the images of sigma, and sigma passes iff it reaches every block.
+    blocks are the face cycles as lists of points, owner[p] the index of the
+    block holding p.  An orbit of <xi, sigma> is a union of blocks, grown block
+    by block through sigma from the last block (the shorter loop of two_face's
+    splits, walked first with no bookkeeping) and stopped once it holds them all.
     """
-    reached = {0}
-    stack = [0]
-    while stack:
-        for p in blocks[stack.pop()]:
-            b = owner[perm[p]]
-            if b not in reached:
-                reached.add(b)
-                stack.append(b)
-    return len(reached) == len(blocks)
+    last = len(blocks) - 1
+    for p in blocks[last]:
+        if owner[perm[p]] != last:
+            break
+    else:
+        return not last  # sigma keeps the last block: only a lone block passes
+    if last == 1:
+        return True  # two blocks, and a point of the last one left it
+    reached = [last]
+    for b in reached:  # reached grows while it is read: a breadth-first walk
+        reached += {owner[perm[p]] for p in blocks[b]}.difference(reached)
+        if len(reached) == len(blocks):
+            return True
+    return False
 
 
 def _face(

@@ -67,15 +67,17 @@ _KeyCache = Dict[int, List[Tuple[int, int]]]
 
 
 def stream(r_max: int):
-    """Yield (r, polynomial) for r = 1..r_max in one recurrence pass."""
+    """Yield (r, polynomial) for r = 1..r_max in one recurrence pass; once done, hold nothing."""
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
     keys: _KeyCache = {}
     prev, curr = [], [[1]]  # no rows for P_0: the r = 0 step multiplies it by 0
-    yield 1, _to_poly(curr, 1, keys)
-    for s in range(2, r_max + 1):
-        prev, curr = curr, _advance(s, curr, prev)
+    for s in range(1, r_max):
         yield s, _to_poly(curr, s, keys)
+        prev, curr = curr, _advance(s + 1, curr, prev)
+    last = [_to_poly(curr, r_max, keys)]
+    del prev, curr, keys  # kept after its last item, the stream holds no rows, no cache
+    yield r_max, last.pop()  # and, with P_r_max yielded unnamed, no polynomial
 
 
 def _advance(s: int, a_rows: _Rows, b_rows: _Rows) -> _Rows:

@@ -420,6 +420,16 @@ def test_force_warning_estimates_serial_time(r, estimate):
     )
 
 
+def test_force_warning_stays_short_past_20_digits():
+    # past 20 digits r! and the time are powers of ten, truncated to one decimal
+    assert "22! ~ 1.1e21 permutations, about 89043584.4 years" in _serial_estimate(22)
+    assert "40! ~ 8.1e47 permutations, about 6.4e34 years" in _serial_estimate(40)
+    # 30000! has 121288 digits; in full they made a line of 242,664 characters
+    line = _serial_estimate(30000)
+    assert len(line) < 200
+    assert "30000! ~ 2.7e121287 permutations, about 2.1e121274 years" in line
+
+
 def test_bench_csv_shape(capsys):
     code, out = run_cli(
         capsys, "bench", "--r-min", "2", "--r-max", "4", "--method", "closed", "--reps", "1"

@@ -60,6 +60,42 @@ def _orbit_of_zero(xi, perm):
     return seen
 
 
+def _cycles(perm):
+    left = set(range(len(perm)))
+    count = 0
+    while left:
+        count += 1
+        j = left.pop()
+        while perm[j] in left:
+            j = perm[j]
+            left.remove(j)
+    return count
+
+
+def _compositions(r):
+    if not r:
+        yield []
+    for first in range(1, r + 1):
+        for rest in _compositions(r - first):
+            yield [first, *rest]
+
+
+def test_connected_filter_matches_point_orbits():
+    'the block walk, which stops at the last block, keeps exactly the sigma a point BFS calls transitive'
+    shapes = [shape for r in range(2, 7) for shape in _compositions(r) if len(shape) > 1]
+    assert len(shapes) == 57 and max(map(len, shapes)) == 6
+    shapes += [[7 - b, b] for b in range(1, 7)]
+    for shape in shapes:
+        r = sum(shape)
+        xi = _face(shape, True)[0]
+        expected = {}
+        for perm in permutations(range(r)):
+            if len(_orbit_of_zero(xi, perm)) == r:
+                key = (_cycles(perm), _cycles([xi[p] for p in perm]))
+                expected[key] = expected.get(key, 0) + 1
+        assert cycle_pair_counts(shape, connected_only=True) == expected, shape
+
+
 def test_shards_walk_sym_r():
     'the shard of each sigma(0) walks (r-1)! permutations, and the r shards make up Sym_r'
     for r in range(1, 8):

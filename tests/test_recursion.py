@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from math import comb, factorial, prod
 
 import pytest
@@ -70,6 +72,32 @@ def test_stream_covers_range():
     pairs = list(stream(6))
     assert [r for r, _ in pairs] == [1, 2, 3, 4, 5, 6]
     assert pairs[0][1] == P1
+
+
+def test_stream_items_unchanged():
+    'the last item of a stream is the same P_r as every other route gives'
+    assert list(stream(1)) == [(1, P1)]
+    assert list(stream(2)) == [(1, P1), (2, M * M * N + M * N * N)]
+    assert list(stream(40)) == [(r, closed_form.one_face_poly(r)) for r in range(1, 41)]
+
+
+def test_finished_stream_holds_nothing():
+    'a stream that has yielded its last item keeps no rows, key cache or polynomial alive'
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = []
+        for _ in range(3):
+            gen = stream(100)
+            for _ in range(100):
+                next(gen)  # the item is dropped; the generator is kept, unexhausted
+            kept.append(gen)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 100_000, held  # bytes; with their last rows, cache and P_100 three hold 1.7 MB
+    assert all(next(gen, None) is None for gen in kept)
 
 
 def test_step_division_always_exact():
