@@ -16,8 +16,6 @@ addition, which is order-independent.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 import time
@@ -45,6 +43,12 @@ def _csv(header: str, rows: Iterable[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json(obj) -> str:
+    """obj as one line of JSON; json is imported here, so runs that print none start without it."""
+    import json
+    return json.dumps(obj) + "\n"
+
+
 def _table(pairs: Sequence[Tuple[int, BivarPoly]], fmt: str, listed: bool = True) -> str:
     """The (r, P_r) pairs as JSON objects {r, terms}, or else as CSV rows r,e,v,count.
 
@@ -55,7 +59,7 @@ def _table(pairs: Sequence[Tuple[int, BivarPoly]], fmt: str, listed: bool = True
             {"r": r, "terms": [{"e": e, "v": v, "c": str(c)} for (e, v), c in poly.sorted_terms()]}
             for r, poly in pairs
         ]
-        return json.dumps(objs if listed or len(objs) > 1 else objs[0]) + "\n"
+        return _json(objs if listed or len(objs) > 1 else objs[0])
     rows = ((r, e, v, c) for r, poly in pairs for (e, v), c in poly.sorted_terms())
     return _csv("r,e,v,count", rows)
 
@@ -64,6 +68,7 @@ def _table(pairs: Sequence[Tuple[int, BivarPoly]], fmt: str, listed: bool = True
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # only main parses arguments, so a plain import of this module leaves it out
     parser = argparse.ArgumentParser(
         prog="hypermaps",
         description="Exact generating polynomials counting rooted hypermaps "
@@ -240,8 +245,7 @@ def _cmd_count(args) -> Tuple[str, int]:
     if args.format == "text" and len(counts) == 1:
         return f"{counts[0][1]}\n", 0
     if args.format == "json":
-        objs = [{"r": r, "faces": args.faces, "count": str(c)} for r, c in counts]
-        return json.dumps(objs) + "\n", 0
+        return _json([{"r": r, "faces": args.faces, "count": str(c)} for r, c in counts]), 0
     return _csv("r,faces,count", [(r, args.faces, c) for r, c in counts]), 0
 
 
@@ -251,16 +255,14 @@ def _cmd_stirling(args) -> Tuple[str, int]:
     if args.format == "text":
         return "".join(" ".join(str(c) for c in row) + "\n" for _, row in rows), 0
     if args.format == "json":
-        objs = [{"r": r, "row": [str(c) for c in row]} for r, row in rows]
-        return json.dumps(objs) + "\n", 0
+        return _json([{"r": r, "row": [str(c) for c in row]} for r, row in rows]), 0
     return _csv("r,k,c", [(r, k, c) for r, row in rows for k, c in enumerate(row, start=1)]), 0
 
 
 def _cmd_avg_trace(args) -> Tuple[str, int]:
     value = closed_form.avg_trace_power(args.m, args.n, args.r)
     if args.format == "json":
-        obj = {"m": args.m, "n": args.n, "r": args.r, "value": str(value)}
-        return json.dumps(obj) + "\n", 0
+        return _json({"m": args.m, "n": args.n, "r": args.r, "value": str(value)}), 0
     if args.format == "csv":
         return _csv("m,n,r,value", [(args.m, args.n, args.r, value)]), 0
     return f"{value}\n", 0
@@ -292,7 +294,7 @@ def _cmd_bench(args) -> Tuple[str, int]:
             {"method": mth, "r": r, "ms": round(ms, 3), "count": str(c), "flag": flag}
             for mth, r, ms, c, flag in records
         ]
-        return json.dumps(objs) + "\n", 0
+        return _json(objs), 0
     rows = [(mth, r, f"{ms:.3f}", c, flag) for mth, r, ms, c, flag in records]
     return _csv("method,r,ms,count,flag", rows), 0
 
@@ -440,25 +442,31 @@ _HANDLERS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(sys, "set_int_max_str_digits"):  # recent Pythons cap int-to-str at 4300 digits
+    # recent Pythons cap int-to-str at 4300 digits; lift the cap for this call only
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if cap is not None:
         sys.set_int_max_str_digits(0)
     try:
-        text, code = _HANDLERS[args.command](args)
-    except (LimitExceeded, ValueError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NotDivisible as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return 3
-    if args.out:
         try:
-            _write_atomic(args.out, text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            text, code = _HANDLERS[args.command](args)
+        except (LimitExceeded, ValueError, OverflowError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
-    else:
-        sys.stdout.write(text)
-    return code
+        except NotDivisible as exc:
+            print(f"internal consistency failure: {exc}", file=sys.stderr)
+            return 3
+        if args.out:
+            try:
+                _write_atomic(args.out, text)
+            except OSError as exc:
+                print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+                return 2
+        else:
+            sys.stdout.write(text)
+        return code
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
 
 
 def _write_atomic(path: str, text: str):

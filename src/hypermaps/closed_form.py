@@ -16,7 +16,6 @@ powers of a random bipartite reduced density operator.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Dict, List, Tuple
 
@@ -98,6 +97,7 @@ def avg_trace_power(m: int, n: int, r: int) -> Fraction:
     one-face generating polynomial at (m, n) divided by the rising product
     mn(mn+1)...(mn+r-1).  Exact rational output.
     """
+    from fractions import Fraction  # loaded by the first call, so other runs start without it
     _check_mnr(m, n, r)
     return Fraction(one_face_poly(r).eval_at(m, n), prod(range(m * n, m * n + r)))
 
@@ -110,6 +110,7 @@ def avg_trace_power_alt(m: int, n: int, r: int) -> Fraction:
     vanish, which is what truncates the sum.  Used as a cross-check only:
     agreement with avg_trace_power verifies both transcriptions.
     """
+    from fractions import Fraction
     _check_mnr(m, n, r)
     total = Fraction(0)
     for k in range(min(m, n, r)):

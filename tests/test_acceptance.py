@@ -141,6 +141,22 @@ def test_c08_two_face():
             time.perf_counter() - t0, 60.0)
 
 
+def _loop_seconds(pieces=5):
+    """Median time of a fixed small-integer loop: the machine's momentary speed.
+
+    Written out here rather than taken from the package, so that no change to
+    the package can move it.
+    """
+    times = []
+    for _ in range(pieces):
+        start = time.perf_counter()
+        s = 0
+        for i in range(100_000):
+            s += i * i % 7
+        times.append(time.perf_counter() - start)
+    return sorted(times)[pieces // 2]
+
+
 def test_c09_performance_shape():
     # closed form: 13 darts well under a second, 50 darts exact
     gc.collect()
@@ -154,10 +170,14 @@ def test_c09_performance_shape():
 
     # enumeration: factorial-time growth, consecutive ratio beyond r at r = 10
     def timed(r):
+        # in units of a fixed interpreter loop timed right before and right
+        # after the call, so a slow spell of the machine divides out
         gc.collect()
+        before = _loop_seconds()
         start = time.perf_counter()
         enumeration.one_face_poly(r)
-        return time.perf_counter() - start
+        elapsed = time.perf_counter() - start
+        return elapsed / (before + _loop_seconds())
 
     # best of two for each r, with the r = 9 and r = 10 runs interleaved so
     # that a slow spell of the machine cannot fall on one r only

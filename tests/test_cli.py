@@ -4,7 +4,7 @@ import json
 import re
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from math import factorial
 
 import pytest
@@ -14,13 +14,17 @@ from hypermaps import closed_form
 from hypermaps.cli import _serial_estimate, main
 
 
-@pytest.fixture(autouse=True, scope="module")
-def _restore_int_str_cap():
-    # main lifts Python's cap on int-to-str digits for the whole process
+@contextmanager
+def _uncapped_int_str():
+    # lifts Python's cap on int-to-str digits, where there is one, for the test's own str()
     saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    yield
     if saved is not None:
-        sys.set_int_max_str_digits(saved)
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 def run_cli(capsys, *argv):
@@ -468,8 +472,27 @@ def test_bad_threads_value_names_the_flag(capsys, value):
 def test_count_prints_more_than_4300_digits(capsys):
     code, out = run_cli(capsys, "count", "--r", "1700")
     assert code == 0
-    assert out == f"{factorial(1700)}\n"
     assert len(out) > 4300
+    with _uncapped_int_str():
+        assert out == f"{factorial(1700)}\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str cap in this Python")
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(["count", "--r", "1700"], 0), (["count", "--r-min", "3", "--r-max", "2"], 2)],
+    ids=["success", "exit-2"],
+)
+def test_main_leaves_the_int_str_cap_as_it_found_it(capsys, argv, expected):
+    # main lifts the cap for its own output only; the caller's process keeps its cap
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # Python's default
+    try:
+        assert main(argv) == expected
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(saved)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

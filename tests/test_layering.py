@@ -7,9 +7,12 @@ only some runs use, so that every short run starts without paying for it.
 """
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import hypermaps
 
@@ -64,17 +67,45 @@ def test_layering_walk_sees_nested_and_absolute_imports():
 
 
 #: Loaded on first use only: the process pool by a pooled enumeration call,
-#: statistics by bench; dataclasses and inspect by nothing in the package.
-DEFERRED = ("concurrent.futures.process", "multiprocessing", "dataclasses", "inspect", "statistics")
+#: statistics by bench, argparse by build_parser, json by JSON output,
+#: fractions (and decimal, which it imports) by the mean trace powers;
+#: dataclasses and inspect by nothing in the package.
+DEFERRED = (
+    "concurrent.futures.process", "multiprocessing", "dataclasses", "inspect", "statistics",
+    "argparse", "json", "fractions", "decimal",
+)
+#: The directory that holds the package, for fresh interpreters started with -S.
+SRC = str(Path(hypermaps.__file__).parent.parent)
 
 
 def test_cli_import_leaves_out_deferred_modules():
     # -S skips site, whose .pth files may import any of these on their own
-    src = str(Path(hypermaps.__file__).parent.parent)
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import hypermaps.cli; "
+        f"import sys; sys.path.insert(0, {SRC!r}); import hypermaps.cli; "
         f"print(' '.join(m for m in {DEFERRED!r} if m in sys.modules))"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["avg-trace", "--m", "2", "--n", "2", "--r", "2"], "4/5\n"),
+        (
+            ["poly", "--r", "3", "--format", "json"],
+            '{"r": 3, "terms": [{"e": 3, "v": 1, "c": "1"}, {"e": 2, "v": 2, "c": "3"}, '
+            '{"e": 1, "v": 3, "c": "1"}, {"e": 1, "v": 1, "c": "1"}]}\n',
+        ),
+    ],
+    ids=["fractions", "json"],
+)
+def test_deferred_modules_load_on_first_use(argv, expected):
+    # pytest has already loaded these modules, so only a fresh interpreter runs the first-use import
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "hypermaps", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
