@@ -5,9 +5,10 @@ Output goes to stdout unless --out is given; --out replaces its file
 atomically, so a failed write leaves no partial file.  Exit status is 0 only
 when every requested computation or check succeeded; enumeration requests
 above the ceiling exit with 2 (override with --force, which warns on stderr
-how long the walk takes), as do bad arguments
-and an --out that cannot be written; failed verify checks exit with 1.
-verify reports each check's elapsed time on stderr.
+how long the walk takes), as do bad arguments and an --out that cannot be
+written; failed verify checks exit with 1.  Ctrl-C exits with 130 and
+SIGTERM with 143, after stopping any worker pool.  verify reports each
+check's elapsed time on stderr.
 
 Output is byte-identical across repeated runs with the same configuration,
 including under --threads: parallel enumeration shards merge by coefficient
@@ -441,11 +442,18 @@ _HANDLERS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    import signal  # only main handles signals, so a plain import of this module leaves them out
     args = build_parser().parse_args(argv)
     # recent Pythons cap int-to-str at 4300 digits; lift the cap for this call only
     cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if cap is not None:
         sys.set_int_max_str_digits(0)
+    def terminate(signum, frame):  # SIGTERM unwinds like Ctrl-C, for this call only
+        raise KeyboardInterrupt(signum)
+    try:
+        on_term = signal.signal(signal.SIGTERM, terminate)
+    except ValueError:  # only the main thread may set handlers
+        on_term = None
     try:
         try:
             text, code = _HANDLERS[args.command](args)
@@ -464,7 +472,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             sys.stdout.write(text)
         return code
+    except KeyboardInterrupt as exc:  # Ctrl-C, or SIGTERM by way of terminate
+        print("interrupted", file=sys.stderr)
+        return 128 + (exc.args or (signal.SIGINT,))[0]
     finally:
+        if on_term is not None:
+            signal.signal(signal.SIGTERM, on_term)
         if cap is not None:
             sys.set_int_max_str_digits(cap)
 

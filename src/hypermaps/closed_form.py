@@ -6,7 +6,10 @@ one in n, divided by r!.  Expanding each rising factorial as the literal
 product (x-k)(x-k+1)...(x-k+r-1) keeps everything polynomial, including at
 the small integer arguments where the equivalent ratio of gamma functions
 has (removable) poles; the vanishing factors of the product are precisely
-what truncates the sum at small arguments.
+what truncates the sum at small arguments.  Only the k=0 product is expanded
+factor by factor; each next one takes O(r): an exact division by the top
+factor of the one before (a remainder raises NotDivisible) and a new bottom
+factor.
 
 The same rising factorials give the unsigned Stirling numbers of the first
 kind (the k=0 product m(m+1)...(m+r-1) expands to the cycle-count histogram
@@ -16,10 +19,11 @@ powers of a random bipartite reduced density operator.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb, factorial, prod
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .polynomial import BivarPoly
+from .polynomial import BivarPoly, NotDivisible
 
 
 def rising_ratio(k: int, r: int) -> Tuple[int, ...]:
@@ -37,22 +41,26 @@ def rising_ratio(k: int, r: int) -> Tuple[int, ...]:
     if k < 0:
         raise ValueError("shift k must be nonnegative")
     coeffs = [1]
-    for j in range(r):
-        shift = j - k
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] += c
-            nxt[i] += c * shift
-        coeffs = nxt
+    for shift in range(-k, r - k):  # times (x + shift): x * coeffs plus shift * coeffs
+        coeffs = [a + shift * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
     return tuple(coeffs)
+
+
+def _next_row(row: Sequence[int], k: int) -> Tuple[int, ...]:
+    """a_k from a_(k-1) = row in O(r): divide out x - (k-r) exactly or raise NotDivisible, times x - k."""
+    c = k - len(row) + 1
+    q = [*accumulate(row[:0:-1], lambda carry, a: a + c * carry)][::-1]  # synthetic division from the top
+    if row[0] + c * q[0]:
+        raise NotDivisible(0, 0, row[0] + c * q[0], f"x{-c:+d}")  # the remainder, as a constant term
+    return tuple([a - k * b for a, b in zip([0, *q], [*q, 0])])  # a list: tuple(genexpr) fragments the heap
 
 
 def one_face_poly(r: int) -> BivarPoly:
     """Generating polynomial for one-face rooted hypermaps with r darts.
 
-    Built in polynomial time from the closed-form sum; all intermediate
-    arithmetic is integral, and the single division by r! at the end must be
-    exact (NotDivisible propagating from it means the construction is broken).
+    Built in polynomial time from the closed-form sum in integers; each rising
+    row after a_0 is stepped from the one before in O(r) (_next_row), and
+    every step and the final division by r! is exact or raises NotDivisible.
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
@@ -61,7 +69,7 @@ def one_face_poly(r: int) -> BivarPoly:
         weight = comb(r - 1, k)
         if k & 1:
             weight = -weight
-        cm = rising_ratio(k, r)
+        cm = _next_row(cm, k) if k else rising_ratio(0, r)
         cn = cm  # the m and n factors share the same expansion
         for e, a in enumerate(cm):
             if a == 0:

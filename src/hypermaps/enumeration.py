@@ -222,8 +222,12 @@ def _shape_counts(
         run = map
         if workers > 1 and len(shapes) * factorial(r) >= _POOL_MIN_PERMS:
             from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only pooled calls pay it
+            from signal import SIG_IGN, SIGINT, signal
 
-            run = stack.enter_context(ProcessPoolExecutor(max_workers=min(workers, r))).map
+            # workers ignore SIGINT (Ctrl-C stops this process alone); unstarted shards cancel on exit
+            pool = ProcessPoolExecutor(min(workers, r), initializer=signal, initargs=(SIGINT, SIG_IGN))
+            stack.callback(pool.shutdown, cancel_futures=True)
+            run = pool.map
         for shard in run(_count_shard, [shapes] * r, range(r), [connected_only] * r):
             for counts, histogram in zip(merged, shard):
                 for key, c in histogram.items():

@@ -1,9 +1,12 @@
 import hashlib
 import io
 import json
+import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from math import factorial
 
@@ -611,6 +614,59 @@ def test_single_and_multi_threaded_verify_are_byte_identical():
     serial = _subprocess_out("verify", "--r-max", "6", "--threads", "1")
     parallel = _subprocess_out("verify", "--r-max", "6", "--threads", "2")
     assert serial == parallel
+
+
+def _group_ignoring_sigint(pgid):
+    'pids other than pgid in process group pgid that ignore SIGINT, read from /proc (Linux)'
+    found = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                group = int(fh.read().rsplit(")", 1)[1].split()[2])
+            with open(f"/proc/{pid}/status") as fh:
+                ignored = next(int(line.split()[1], 16) for line in fh if line.startswith("SigIgn:"))
+        except (OSError, StopIteration):
+            continue  # the process ended while it was read
+        if group == pgid and int(pid) != pgid and ignored >> (signal.SIGINT - 1) & 1:
+            found.append(int(pid))
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads worker processes from Linux /proc")
+@pytest.mark.parametrize("signum, to_group, code", [
+    (signal.SIGINT, True, 130),  # a terminal's Ctrl-C reaches the whole process group
+    (signal.SIGTERM, False, 143),  # kill PID reaches the parent alone
+], ids=["SIGINT", "SIGTERM"])
+def test_interrupt_ends_a_pooled_run_cleanly(signum, to_group, code):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hypermaps", "poly", "--r", "10", "--method", "enumerate", "--threads", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        # the pool is up once both workers have run their initializer, which ignores SIGINT
+        while len(_group_ignoring_sigint(proc.pid)) < 2:
+            assert proc.poll() is None and time.monotonic() < deadline, "no pool came up"
+            time.sleep(0.02)
+        (os.killpg if to_group else os.kill)(proc.pid, signum)
+        out, err = proc.communicate(timeout=60)
+        deadline = time.monotonic() + 10
+        while _group_alive(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        orphaned = _group_alive(proc.pid)  # a worker that outlived the run
+    finally:
+        if _group_alive(proc.pid):
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert (proc.returncode, out, err) == (code, "", "interrupted\n")
+    assert not orphaned
+
+
+def _group_alive(pgid):
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def test_poly_range_recursion_golden():

@@ -5,12 +5,13 @@ import pytest
 
 from hypermaps import closed_form, enumeration, recursion
 from hypermaps.closed_form import (
+    _next_row,
     avg_trace_power,
     avg_trace_power_alt,
     rising_ratio,
     stirling_row,
 )
-from hypermaps.polynomial import BivarPoly
+from hypermaps.polynomial import BivarPoly, NotDivisible
 
 
 def _value(coeffs, x):
@@ -45,6 +46,35 @@ def test_rising_ratio_matches_factorial_quotient_where_defined():
             for x in range(k + 1, k + 6):
                 expected = math.factorial(x + r - k - 1) // math.factorial(x - k - 1)
                 assert _value(rising_ratio(k, r), x) == expected
+
+
+def test_stepped_rows_equal_expanded_rows():
+    'a_k stepped from a_0 by one exact division and one multiplication equals the expansion'
+    for r in range(1, 41):
+        row = rising_ratio(0, r)
+        for k in range(1, r):
+            row = _next_row(row, k)
+            assert row == rising_ratio(k, r), (r, k)
+
+
+@pytest.mark.parametrize("r", [88, 150])
+def test_rising_ratio_matches_the_product_of_its_factors(r):
+    'a degree-r polynomial is fixed by its values at r + 1 points'
+    for k in (0, r // 2, r - 1, r + 3):
+        coeffs = rising_ratio(k, r)
+        assert len(coeffs) == r + 1
+        for x in range(-r // 2, r // 2 + 1):
+            assert _value(coeffs, x) == math.prod(x - k + j for j in range(r)), (k, x)
+
+
+def test_corrupted_row_is_caught_by_the_step():
+    'a row that is not the rising product leaves a remainder, which is raised, never dropped'
+    row = list(rising_ratio(0, 12))
+    row[0] += 1
+    with pytest.raises(NotDivisible) as caught:
+        _next_row(row, 1)
+    assert caught.value.coeff == 1  # the row's value at the root x = -11 of its top factor
+    assert caught.value.divisor == "x+11"
 
 
 def test_base_cases():

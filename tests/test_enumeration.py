@@ -64,13 +64,10 @@ def pools_built(monkeypatch):
     built = []
 
     class StubPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **options):  # options: the workers' initializer
             built.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
+        def shutdown(self, wait=True, *, cancel_futures=False):
             return None
 
         def map(self, fn, *iterables):

@@ -30,9 +30,10 @@ def test_two_steps_produce_four_darts():
 def test_recursion_matches_closed_form_to_twenty():
     for r, poly in stream(20):
         assert poly == closed_form.one_face_poly(r)
-    # spot checks well past twenty, where coefficients span hundreds of bits
-    streamed = dict(stream(80))
-    for r in (41, 64, 80):
+    # spot checks well past twenty, where coefficients span hundreds of bits, up to
+    # r = 88, the largest closed form the benchmark's series workload builds
+    streamed = dict(stream(88))
+    for r in (41, 64, 80, 88):
         assert streamed[r] == closed_form.one_face_poly(r), r
 
 
