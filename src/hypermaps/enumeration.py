@@ -31,14 +31,16 @@ filter and cycles(xi o sigma), giving one histogram per shape.  Shards are
 merged by coefficient addition, so pooled and serial runs produce identical
 polynomials.  A call pools its shards only when it has more than one worker
 and at least 8! permutations to count (r! times the number of face shapes).
-The pool class is imported by that branch on the first pooled call, so a
-serial run, and any program that merely imports the package, never loads
-concurrent.futures' process module or multiprocessing.
+That branch imports multiprocessing on the first pooled call, so a serial
+run, or a program that merely imports the package, never loads it.  Pool
+workers ignore Ctrl-C and are terminated when the call leaves its pool
+block, however it leaves; a caller killed without cleanup loses its workers
+as each finishes its shard (one may print a BrokenPipeError on stderr).
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack
+from functools import partial
 from itertools import permutations
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -198,6 +200,13 @@ def cycle_pair_counts(
     return _shape_counts([list(lengths)], connected_only, workers, ceiling)[0]
 
 
+def _pool_worker() -> None:
+    """Pool initializer: leave Ctrl-C to the parent, and let the pool's SIGTERM end the worker."""
+    from signal import SIG_DFL, SIG_IGN, SIGINT, SIGTERM, signal
+    signal(SIGINT, SIG_IGN)
+    signal(SIGTERM, SIG_DFL)  # not the KeyboardInterrupt handler a worker forked under cli.main inherits
+
+
 def _shape_counts(
     shapes: Sequence[Sequence[int]],
     connected_only: bool,
@@ -217,21 +226,20 @@ def _shape_counts(
     check_ceiling(r, ceiling)
     for shape in shapes:
         _face(shape, connected_only)  # a malformed shape raises here, before any pool starts
-    merged: List[Dict[Tuple[int, int], int]] = [{} for _ in shapes]
-    with ExitStack() as stack:
-        run = map
-        if workers > 1 and len(shapes) * factorial(r) >= _POOL_MIN_PERMS:
-            from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only pooled calls pay it
-            from signal import SIG_IGN, SIGINT, signal
+    count = partial(_count_shard, shapes, connected_only=connected_only)
+    if workers > 1 and len(shapes) * factorial(r) >= _POOL_MIN_PERMS:
+        from multiprocessing import Pool  # only pooled calls load multiprocessing
 
-            # workers ignore SIGINT (Ctrl-C stops this process alone); unstarted shards cancel on exit
-            pool = ProcessPoolExecutor(min(workers, r), initializer=signal, initargs=(SIGINT, SIG_IGN))
-            stack.callback(pool.shutdown, cancel_futures=True)
-            run = pool.map
-        for shard in run(_count_shard, [shapes] * r, range(r), [connected_only] * r):
-            for counts, histogram in zip(merged, shard):
-                for key, c in histogram.items():
-                    counts[key] = counts.get(key, 0) + c
+        # leaving the block terminates the workers, on success, error, Ctrl-C or SIGTERM alike
+        with Pool(min(workers, r), _pool_worker) as pool:
+            shards = pool.map(count, range(r), chunksize=1)
+    else:
+        shards = map(count, range(r))
+    merged: List[Dict[Tuple[int, int], int]] = [{} for _ in shapes]
+    for shard in shards:
+        for counts, histogram in zip(merged, shard):
+            for key, c in histogram.items():
+                counts[key] = counts.get(key, 0) + c
     return merged
 
 

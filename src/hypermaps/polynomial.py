@@ -84,7 +84,7 @@ class BivarPoly:
 
     def sorted_terms(self):
         """Terms as ((e, v), coeff) sorted by (e descending, v descending)."""
-        return [(ev, self._terms[ev]) for ev in sorted(self._terms, key=lambda t: (-t[0], -t[1]))]
+        return sorted(self._terms.items(), reverse=True)  # keys are unique, so coefficients never compare
 
     # arithmetic -----------------------------------------------------------
 

@@ -169,26 +169,33 @@ def test_c09_performance_shape():
     ok &= p50.eval_at(1, 1) == math.factorial(50)
 
     # enumeration: factorial-time growth, consecutive ratio beyond r at r = 10
-    def timed(r):
-        # in units of a fixed interpreter loop timed right before and right
-        # after the call, so a slow spell of the machine divides out
-        gc.collect()
-        before = _loop_seconds()
+    def shard(r, first_image, before):
+        # one shard of one_face_poly(r) in units of a fixed interpreter loop
+        # timed right before and right after it, so a slow spell of the
+        # machine divides out even when it starts mid-call; with the sample
+        # after it, which is the next shard's sample before
         start = time.perf_counter()
-        enumeration.one_face_poly(r)
+        enumeration._count_shard([[r]], first_image, connected_only=False)
         elapsed = time.perf_counter() - start
-        return elapsed / (before + _loop_seconds())
+        after = _loop_seconds()
+        return elapsed / (before + after), after
 
-    # best of two for each r, with the r = 9 and r = 10 runs interleaved so
-    # that a slow spell of the machine cannot fall on one r only
-    runs = [(timed(9), timed(10)) for _ in range(2)]
-    t9 = min(t for t, _ in runs)
-    t10 = min(t for _, t in runs)
+    # each r = 10 shard is followed by a whole r = 9 walk, so that both r see
+    # the same spells of the machine; t9 is the mean of those ten walks
+    gc.collect()
+    t9 = t10 = 0.0
+    sample = _loop_seconds()
+    for first_image in range(10):
+        scaled, sample = shard(10, first_image, sample)
+        t10 += scaled
+        for other in range(9):
+            scaled, sample = shard(9, other, sample)
+            t9 += scaled / 10
     ratio = t10 / t9
     ok &= ratio > 10.0
     _report(9, "performance-shape", ok,
             f"closed P_13 in {closed_13 * 1000:.0f}ms, P_50 exact, "
-            f"enumerate t10/t9 = {ratio:.1f} > 10",
+            f"enumerate t10/t9 = {ratio:.2f} > 10",
             closed_13, 1.0)
 
 

@@ -632,32 +632,69 @@ def _group_ignoring_sigint(pgid):
     return found
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads worker processes from Linux /proc")
-@pytest.mark.parametrize("signum, to_group, code", [
-    (signal.SIGINT, True, 130),  # a terminal's Ctrl-C reaches the whole process group
-    (signal.SIGTERM, False, 143),  # kill PID reaches the parent alone
-], ids=["SIGINT", "SIGTERM"])
-def test_interrupt_ends_a_pooled_run_cleanly(signum, to_group, code):
+def _wait_for_pool(proc):
+    'return once both pool workers have run their initializer, which ignores SIGINT'
+    deadline = time.monotonic() + 60
+    while len(_group_ignoring_sigint(proc.pid)) < 2:
+        assert proc.poll() is None and time.monotonic() < deadline, "no pool came up"
+        time.sleep(0.02)
+
+
+def _group_gone_within(pgid, seconds):
+    deadline = time.monotonic() + seconds
+    while _group_alive(pgid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return not _group_alive(pgid)
+
+
+ON_PROC = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads worker processes from Linux /proc")
+
+
+@ON_PROC
+@pytest.mark.parametrize("signum, to_group, code, r", [
+    pytest.param(signal.SIGINT, True, 130, "10", id="SIGINT"),  # a terminal's Ctrl-C reaches the whole process group
+    pytest.param(signal.SIGTERM, False, 143, "10", id="SIGTERM"),  # kill PID reaches the parent alone
+    # an r = 11 shard is 10! permutations, seconds of work: the pool must not wait for it
+    pytest.param(signal.SIGINT, True, 130, "11", id="SIGINT-r11"),
+    pytest.param(signal.SIGTERM, False, 143, "11", id="SIGTERM-r11"),
+])
+def test_interrupt_ends_a_pooled_run_cleanly(signum, to_group, code, r):
     proc = subprocess.Popen(
-        [sys.executable, "-m", "hypermaps", "poly", "--r", "10", "--method", "enumerate", "--threads", "2"],
+        [sys.executable, "-m", "hypermaps", "poly", "--r", r, "--method", "enumerate", "--threads", "2"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
     )
     try:
-        deadline = time.monotonic() + 60
-        # the pool is up once both workers have run their initializer, which ignores SIGINT
-        while len(_group_ignoring_sigint(proc.pid)) < 2:
-            assert proc.poll() is None and time.monotonic() < deadline, "no pool came up"
-            time.sleep(0.02)
+        _wait_for_pool(proc)
         (os.killpg if to_group else os.kill)(proc.pid, signum)
+        sent = time.monotonic()
         out, err = proc.communicate(timeout=60)
-        deadline = time.monotonic() + 10
-        while _group_alive(proc.pid) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        orphaned = _group_alive(proc.pid)  # a worker that outlived the run
+        took = time.monotonic() - sent
+        orphaned = not _group_gone_within(proc.pid, 10)  # a worker that outlived the run
     finally:
         if _group_alive(proc.pid):
             os.killpg(proc.pid, signal.SIGKILL)
     assert (proc.returncode, out, err) == (code, "", "interrupted\n")
+    assert took < 2, f"exited {took:.2f} s after the signal"
+    assert not orphaned
+
+
+@ON_PROC
+def test_library_caller_killed_by_sigterm_leaves_no_worker():
+    # no handler is installed outside cli.main, so SIGTERM ends the caller at once;
+    # each worker ends when its current shard is done and finds no parent to take it
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from hypermaps import enumeration; enumeration.one_face_poly(10, workers=2)"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
+    )
+    try:
+        _wait_for_pool(proc)
+        os.kill(proc.pid, signal.SIGTERM)
+        proc.wait(timeout=60)
+        orphaned = not _group_gone_within(proc.pid, 10)
+    finally:
+        if _group_alive(proc.pid):
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert proc.returncode == -signal.SIGTERM
     assert not orphaned
 
 

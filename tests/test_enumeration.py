@@ -64,17 +64,20 @@ def pools_built(monkeypatch):
     built = []
 
     class StubPool:
-        def __init__(self, max_workers, **options):  # options: the workers' initializer
-            built.append(max_workers)
+        def __init__(self, processes, initializer=None):
+            built.append(processes)
 
-        def shutdown(self, wait=True, *, cancel_futures=False):
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
             return None
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def map(self, fn, iterable, chunksize=None):
+            return list(map(fn, iterable))
 
     # the pooled branch imports the pool class at call time, so patch it at its source
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", StubPool)
+    monkeypatch.setattr("multiprocessing.Pool", StubPool)
     return built
 
 

@@ -66,10 +66,10 @@ def test_layering_walk_sees_nested_and_absolute_imports():
     assert package_imports(source) == {"polynomial", "recursion", "two_face", "closed_form"}
 
 
-#: Loaded on first use only: the process pool by a pooled enumeration call,
+#: Loaded on first use only: multiprocessing by a pooled enumeration call,
 #: statistics by bench, argparse by build_parser, json by JSON output,
 #: fractions (and decimal, which it imports) by the mean trace powers;
-#: dataclasses and inspect by nothing in the package.
+#: concurrent.futures.process, dataclasses and inspect by nothing in the package.
 DEFERRED = (
     "concurrent.futures.process", "multiprocessing", "dataclasses", "inspect", "statistics",
     "argparse", "json", "fractions", "decimal",
