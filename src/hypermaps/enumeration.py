@@ -34,8 +34,7 @@ and at least 8! permutations to count (r! times the number of face shapes).
 That branch imports multiprocessing on the first pooled call, so a serial
 run, or a program that merely imports the package, never loads it.  Pool
 workers ignore Ctrl-C and are terminated when the call leaves its pool
-block, however it leaves; a caller killed without cleanup loses its workers
-as each finishes its shard (one may print a BrokenPipeError on stderr).
+block, however it leaves; a worker that dies mid-walk raises ChildProcessError.
 """
 
 from __future__ import annotations
@@ -229,10 +228,14 @@ def _shape_counts(
     count = partial(_count_shard, shapes, connected_only=connected_only)
     if workers > 1 and len(shapes) * factorial(r) >= _POOL_MIN_PERMS:
         from multiprocessing import Pool  # only pooled calls load multiprocessing
-
-        # leaving the block terminates the workers, on success, error, Ctrl-C or SIGTERM alike
-        with Pool(min(workers, r), _pool_worker) as pool:
-            shards = pool.map(count, range(r), chunksize=1)
+        with Pool(min(workers, r), _pool_worker) as pool:  # leaving the block terminates the workers
+            pids = [w.pid for w in pool._pool]
+            shards = pool.map_async(count, range(r), chunksize=1)
+            while not shards.ready():  # Pool replaces a dead worker but never reruns its shard
+                shards.wait(0.1)
+                if [w.pid for w in pool._pool] != pids:
+                    raise ChildProcessError("an enumeration worker died before the walk was done")
+            shards = shards.get()
     else:
         shards = map(count, range(r))
     merged: List[Dict[Tuple[int, int], int]] = [{} for _ in shapes]

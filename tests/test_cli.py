@@ -679,6 +679,30 @@ def test_interrupt_ends_a_pooled_run_cleanly(signum, to_group, code, r):
 
 
 @ON_PROC
+@pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGTERM], ids=["SIGKILL", "SIGTERM"])
+def test_a_worker_killed_mid_shard_ends_the_run(signum):
+    # the pool starts a replacement worker but never reruns the lost shard, so the
+    # call must notice the death rather than wait for that shard (10! permutations)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hypermaps", "poly", "--r", "11", "--method", "enumerate", "--threads", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        _wait_for_pool(proc)
+        os.kill(_group_ignoring_sigint(proc.pid)[0], signum)
+        sent = time.monotonic()
+        out, err = proc.communicate(timeout=60)
+        took = time.monotonic() - sent
+        orphaned = not _group_gone_within(proc.pid, 10)
+    finally:
+        if _group_alive(proc.pid):
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert (proc.returncode, out, err) == (2, "", "error: an enumeration worker died before the walk was done\n")
+    assert took < 2, f"exited {took:.2f} s after the worker died"
+    assert not orphaned
+
+
+@ON_PROC
 def test_library_caller_killed_by_sigterm_leaves_no_worker():
     # no handler is installed outside cli.main, so SIGTERM ends the caller at once;
     # each worker ends when its current shard is done and finds no parent to take it

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -73,8 +74,11 @@ def pools_built(monkeypatch):
         def __exit__(self, *exc_info):
             return None
 
-        def map(self, fn, iterable, chunksize=None):
-            return list(map(fn, iterable))
+        _pool = ()  # no worker processes, so none can die
+
+        def map_async(self, fn, iterable, chunksize=None):
+            shards = list(map(fn, iterable))
+            return SimpleNamespace(ready=lambda: True, get=lambda: shards)
 
     # the pooled branch imports the pool class at call time, so patch it at its source
     monkeypatch.setattr("multiprocessing.Pool", StubPool)
