@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from math import factorial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .polynomial import BivarPoly, NotDivisible
 from .enumeration import DEFAULT_ENUM_CEILING, LimitExceeded
@@ -29,10 +29,19 @@ from . import closed_form, enumeration, recursion, two_face
 
 TOTAL_THROUGH_13 = 6_749_977_113  # sum of r! for r = 1..13
 
-#: The one-face constructions by --method name, run by _one_face.  The
-#: recurrence, the fastest at every r, answers unless another is asked for.
-_METHODS = ("enumerate", "closed", "recursion")
-_DEFAULT_METHOD = "recursion"
+#: Every construction the CLI runs, by (faces, --method): build(rs, enum) gives
+#: (r, polynomial) for each r of the increasing rs, and shapes(r) is the number
+#: of face shapes its walk of Sym_r counts per permutation (None: no walk).
+_ROUTES: Dict[Tuple[int, str], Tuple[Callable, Optional[Callable[[int], int]]]] = {
+    (1, "enumerate"): (lambda rs, enum: [(r, enumeration.one_face_poly(r, **enum)) for r in rs], lambda r: 1),
+    (1, "closed"): (lambda rs, enum: [(r, closed_form.one_face_poly(r)) for r in rs], None),
+    (1, "recursion"): (lambda rs, enum: [(r, p) for r, p in recursion.stream(max(rs)) if r in rs], None),
+    (2, "enumerate"): (lambda rs, enum: [(r, two_face.two_face_gf(r, **enum).gf) for r in rs], lambda r: r // 2),
+}
+#: Per face count, the method run without --method (the recurrence is the
+#: fastest one-face route; two-face polynomials are only enumerated) and the
+#: total number of maps with r darts (r! for one face: each sigma is one map).
+_FACES = {1: ("recursion", factorial), 2: ("enumerate", two_face.two_face_total)}
 
 
 # table rendering -------------------------------------------------------------
@@ -84,14 +93,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--r-min", type=int, help="start of a dart range")
             p.add_argument("--r-max", type=int, help="end of a dart range (inclusive)")
         if faces:
-            p.add_argument("--faces", type=int, choices=(1, 2), default=1)
+            p.add_argument("--faces", type=int, choices=tuple(_FACES), default=1)
         if methods:
-            p.add_argument(
-                "--method",
-                choices=_METHODS,
-                help="construction to use (default: recursion, the fastest; closed "
-                "and enumerate are independent checks; --faces 2 accepts only enumerate)",
+            per_faces = "; ".join(
+                f"--faces {faces} takes {', '.join(m for f, m in _ROUTES if f == faces)} (default {default})"
+                for faces, (default, _) in _FACES.items()
             )
+            choices = tuple(dict.fromkeys(m for _, m in _ROUTES))
+            p.add_argument("--method", choices=choices, help=f"construction to use; {per_faces}")
         if formats:
             p.add_argument("--format", choices=("text", "csv", "json"), default="text")
         p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
@@ -99,15 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--threads", default="1", help="worker processes for enumeration, or 'auto'")
             p.add_argument("--force", action="store_true", help="enumerate past the ceiling (warns of the time)")
 
-    p_poly = sub.add_parser("poly", help="print a generating polynomial")
-    common(p_poly)
-
-    p_table = sub.add_parser("table", help="coefficient table (r, e, v, count)")
-    common(p_table)
-
-    p_count = sub.add_parser("count", help="total number of maps for given darts")
-    common(p_count, methods=False, enumerates=False)
-
+    common(sub.add_parser("poly", help="print a generating polynomial"))
+    common(sub.add_parser("table", help="coefficient table (r, e, v, count)"))
+    common(sub.add_parser("count", help="total number of maps for given darts"), methods=False, enumerates=False)
     p_stirling = sub.add_parser("stirling", help="unsigned Stirling numbers of the first kind")
     common(p_stirling, methods=False, faces=False, enumerates=False)
 
@@ -159,26 +162,37 @@ def _r_list(args) -> List[int]:
     return rs
 
 
-def _enum_settings(args, rs: Sequence[int]) -> Dict[str, Optional[int]]:
-    """The enumeration keywords (ceiling, workers) for enumerating each r in rs.
+def _route(faces: int, method: Optional[str]):
+    """(method, build, shapes): the _ROUTES row for --faces and --method, or the face count's default."""
+    name = method or _FACES[faces][0]
+    if (faces, name) in _ROUTES:
+        return (name, *_ROUTES[faces, name])
+    raise ValueError(f"--method {method} does not apply to --faces {faces}")
 
-    With rs empty only --threads is read.  An r above DEFAULT_ENUM_CEILING is
-    refused before any work unless --force is given, which warns on stderr
-    what enumerating the largest r costs.
+
+def _enum_settings(
+    args, rs: Sequence[int], shapes: Optional[Callable[[int], int]]
+) -> Dict[str, Optional[int]]:
+    """The enumeration keywords (ceiling, workers) for a route over the r in rs.
+
+    Every route reads --threads.  A route whose walk of Sym_r counts shapes(r)
+    face shapes is refused an r above DEFAULT_ENUM_CEILING before any work,
+    unless --force is given, which warns on stderr what the largest r costs.
     """
     enum = {"ceiling": None if args.force else DEFAULT_ENUM_CEILING, "workers": _threads(args)}
-    if rs:
+    if shapes is not None:
         worst = max(rs)
         enumeration.check_ceiling(worst, enum["ceiling"])
         if args.force:
-            print(f"warning: ceiling override; {_serial_estimate(worst)}", file=sys.stderr)
+            print(f"warning: ceiling override; {_serial_estimate(worst, shapes(worst))}", file=sys.stderr)
     return enum
 
 
-def _serial_estimate(r: int) -> str:
-    """The permutations in Sym_r and the serial time to visit them, as powers of ten past 20 digits."""
+def _serial_estimate(r: int, shapes: int = 1) -> str:
+    """Sym_r's permutations and the serial time to count shapes face shapes in each; past 20 digits, powers of ten."""
     perms = factorial(r)
-    ns = perms * enumeration._NS_PER_PERM
+    rate = enumeration._NS_PER_PERM + (shapes - 1) * enumeration._NS_PER_EXTRA_SHAPE
+    ns = perms * rate
     units = (("years", 31_557_600), ("days", 86_400), ("hours", 3_600), ("minutes", 60), ("seconds", 1))
     for unit, seconds in units:
         tenths = ns * 10 // (seconds * 10**9)  # integers: r! outgrows a float past r = 170
@@ -186,9 +200,10 @@ def _serial_estimate(r: int) -> str:
             break
     count = f"= {perms}" if perms < 10**20 else f"~ {_power_of_ten(perms)}"
     span = f"{tenths // 10}.{tenths % 10}" if tenths < 10**21 else _power_of_ten(tenths // 10)
+    counted = f" for {shapes} face shapes" if shapes != 1 else ""
     return (
-        f"enumeration at r={r} visits {r}! {count} permutations, about {span} "
-        f"{unit} serial at {enumeration._NS_PER_PERM / 1000:g} us per permutation"
+        f"enumeration at r={r} visits {r}! {count} permutations{counted}, about {span} "
+        f"{unit} serial at {rate / 1000:g} us per permutation"
     )
 
 
@@ -200,25 +215,10 @@ def _power_of_ten(x: int) -> str:
     return f"{x // 10**k}.{x // 10 ** (k - 1) % 10}e{k}"
 
 
-def _one_face(method, rs, enum) -> List[Tuple[int, BivarPoly]]:
-    """(r, P_r) for each r of the increasing rs, built by the named construction."""
-    if method == "recursion":
-        wanted = set(rs)
-        return [(r, poly) for r, poly in recursion.stream(max(rs)) if r in wanted]
-    if method == "closed":
-        return [(r, closed_form.one_face_poly(r)) for r in rs]
-    return [(r, enumeration.one_face_poly(r, **enum)) for r in rs]
-
-
 def _polys(args, rs: Sequence[int]) -> List[Tuple[int, BivarPoly]]:
-    """Resolve (r, polynomial) pairs for the requested faces/method."""
-    if args.faces == 2:
-        if args.method not in (None, "enumerate"):
-            raise ValueError(f"--method {args.method} does not apply to --faces 2")
-        enum = _enum_settings(args, rs)
-        return [(r, two_face.two_face_gf(r, **enum).gf) for r in rs]
-    method = args.method or _DEFAULT_METHOD
-    return _one_face(method, rs, _enum_settings(args, rs if method == "enumerate" else ()))
+    """(r, polynomial) for each r of rs, by the route for --faces and --method."""
+    _, build, shapes = _route(args.faces, args.method)
+    return build(rs, _enum_settings(args, rs, shapes))
 
 
 # subcommands ------------------------------------------------------------------
@@ -236,13 +236,8 @@ def _cmd_table(args) -> Tuple[str, int]:
 
 
 def _cmd_count(args) -> Tuple[str, int]:
-    rs = _r_list(args)
-    counts = []
-    for r in rs:
-        if args.faces == 1:
-            counts.append((r, factorial(r)))  # every sigma is one rooted map
-        else:
-            counts.append((r, two_face.two_face_total(r)))
+    _, total = _FACES[args.faces]
+    counts = [(r, total(r)) for r in _r_list(args)]
     if args.format == "text" and len(counts) == 1:
         return f"{counts[0][1]}\n", 0
     if args.format == "json":
@@ -275,17 +270,17 @@ def _cmd_bench(args) -> Tuple[str, int]:
     if args.reps < 1:
         raise ValueError("--reps must be at least 1")
     rs = _r_list(args)
-    method = args.method or _DEFAULT_METHOD
-    enum = _enum_settings(args, rs if method == "enumerate" else ())
+    method, build, shapes = _route(1, args.method)
+    enum = _enum_settings(args, rs, shapes)
     resolution_ms = time.get_clock_info("perf_counter").resolution * 1000.0
 
     records = []
     for r in rs:
-        [(_, poly)] = _one_face(method, [r], enum)  # warm-up; poly gives the count
+        [(_, poly)] = build([r], enum)  # warm-up; poly gives the count
         times = []
         for _ in range(args.reps):
             t0 = time.perf_counter()
-            _one_face(method, [r], enum)
+            build([r], enum)
             times.append((time.perf_counter() - t0) * 1000.0)
         ms = statistics.median(times)
         flag = "below_resolution" if ms < resolution_ms else ""
@@ -305,8 +300,8 @@ def _cmd_bench(args) -> Tuple[str, int]:
 
 def _check_base_cases(enum):
     expected = {1: BivarPoly({(1, 1): 1}), 2: BivarPoly({(2, 1): 1, (1, 2): 1})}
-    for method in _METHODS:
-        for r, poly in _one_face(method, [1, 2], enum):
+    for (faces, _), (build, _) in _ROUTES.items():
+        for r, poly in build([1, 2], enum) if faces == 1 else ():
             if poly != expected[r]:
                 return False, f"mismatch at r={r}"
     return True, "P_1 = m*n and P_2 = m^2*n + m*n^2 by all three methods"
@@ -404,7 +399,7 @@ def _cmd_verify(args) -> Tuple[str, int]:
         raise ValueError("--r-max must be at least 2, the smallest two-face check")
     rmax = args.r_max
     # method-agreement enumerates every r up to rmax, so refuse it before any check runs
-    enum = _enum_settings(args, [rmax])
+    enum = _enum_settings(args, [rmax], _ROUTES[1, "enumerate"][1])
     checks = [
         ("base-cases", lambda: _check_base_cases(enum)),
         ("method-agreement", lambda: _check_agreement(rmax, enum)),
@@ -459,6 +454,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             text, code = _HANDLERS[args.command](args)
         except (LimitExceeded, ValueError, OverflowError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError:  # a dart range too long to hold, say
+            print("error: out of memory", file=sys.stderr)
             return 2
         except NotDivisible as exc:
             print(f"internal consistency failure: {exc}", file=sys.stderr)

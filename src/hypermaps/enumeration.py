@@ -57,6 +57,12 @@ DEFAULT_ENUM_CEILING = 13
 #: the CLI's --force warning estimates a run's time.
 _NS_PER_PERM = 2500
 
+#: Each face shape past the first adds this to _NS_PER_PERM (two_face_gf
+#: counts r // 2).  At r = 10, serial medians of three runs (Python 3.11.7,
+#: 2-core Intel Xeon) were 1.77 us per permutation for one shape and 5.28 us
+#: for two_face_gf's five, so a shape adds 0.88 us, half the one-face rate.
+_NS_PER_EXTRA_SHAPE = 1250
+
 #: A call with more than one worker pools its shards only when it counts at
 #: least this many permutations (number of shapes times r!); below that the
 #: pool costs more than it saves.  Medians of 7 interleaved calls on a 2-core

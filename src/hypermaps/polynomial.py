@@ -76,9 +76,6 @@ class BivarPoly:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
     def coefficient(self, e: int, v: int) -> int:
         return self._terms.get((e, v), 0)
 

@@ -13,8 +13,8 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypermaps import closed_form
-from hypermaps.cli import _serial_estimate, main
+from hypermaps import closed_form, enumeration, recursion, two_face
+from hypermaps.cli import _ROUTES, _serial_estimate, main
 
 
 @contextmanager
@@ -301,6 +301,50 @@ def test_one_face_methods_are_rejected_with_two_faces(capsys, command):
     assert run_cli(capsys, command, "--r", "4", "--faces", "2", "--method", "enumerate") == default
 
 
+# the library call behind each (faces, method) the CLI accepts; a missing
+# method is the face count's default
+_LIBRARY_ROUTES = {
+    (1, "enumerate"): enumeration.one_face_poly,
+    (1, "closed"): closed_form.one_face_poly,
+    (1, "recursion"): lambda r: dict(recursion.stream(r))[r],
+    (2, "enumerate"): lambda r: two_face.two_face_gf(r).gf,
+}
+_DEFAULT_METHODS = {1: "recursion", 2: "enumerate"}
+
+
+def test_route_table_holds_exactly_the_library_routes():
+    assert list(_ROUTES) == list(_LIBRARY_ROUTES)
+
+
+@pytest.mark.parametrize("command", ["poly", "table"])
+@pytest.mark.parametrize("faces", [1, 2])
+@pytest.mark.parametrize("method", [None, "enumerate", "closed", "recursion"])
+def test_each_faces_and_method_runs_its_library_route(capsys, command, faces, method):
+    argv = [command, "--r-min", "3", "--r-max", "5", "--faces", str(faces)]
+    code = main(argv + (["--method", method] if method else []))
+    captured = capsys.readouterr()
+    build = _LIBRARY_ROUTES.get((faces, method or _DEFAULT_METHODS[faces]))
+    if build is None:
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: --method {method} does not apply to --faces {faces}\n"
+    elif command == "poly":
+        assert (code, captured.out) == (0, "".join(f"{build(r).render()}\n" for r in (3, 4, 5)))
+    else:
+        rows = [f"{r},{e},{v},{c}\n" for r in (3, 4, 5) for (e, v), c in build(r).sorted_terms()]
+        assert (code, captured.out) == (0, "r,e,v,count\n" + "".join(rows))
+
+
+@pytest.mark.parametrize("method", [None, "enumerate", "closed", "recursion"])
+def test_bench_runs_the_one_face_routes(capsys, method):
+    code, out = run_cli(capsys, "bench", "--r", "4", "--reps", "1", *(["--method", method] if method else []))
+    assert code == 0
+    assert out.splitlines()[1].split(",")[::3] == [method or "recursion", "24"]
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--r", "4", "--faces", "2", *(["--method", method] if method else [])])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --faces 2" in capsys.readouterr().err
+
+
 def test_unread_options_are_rejected(capsys):
     # each subcommand takes only the flags its handler reads, so no flag is
     # accepted and then ignored (bench --faces 2 would print a one-face count)
@@ -427,6 +471,21 @@ def test_force_warning_estimates_serial_time(r, estimate):
     )
 
 
+def test_two_face_force_warning_counts_its_face_shapes(capsys, monkeypatch):
+    # two_face_gf counts r // 2 face shapes per permutation, each past the first
+    # adding 1.25 us to the one-face rate
+    assert _serial_estimate(14, 7) == (
+        "enumeration at r=14 visits 14! = 87178291200 permutations for 7 face shapes, "
+        "about 10.0 days serial at 10 us per permutation"
+    )
+    monkeypatch.setattr("hypermaps.cli.DEFAULT_ENUM_CEILING", 5)
+    assert main(["poly", "--r", "7", "--faces", "2", "--force"]) == 0
+    assert capsys.readouterr().err == (
+        "warning: ceiling override; enumeration at r=7 visits 7! = 5040 permutations for 3 face shapes, "
+        "about 0.0 seconds serial at 5 us per permutation\n"
+    )
+
+
 def test_force_warning_stays_short_past_20_digits():
     # past 20 digits r! and the time are powers of ten, truncated to one decimal
     assert "22! ~ 1.1e21 permutations, about 89043584.4 years" in _serial_estimate(22)
@@ -518,6 +577,21 @@ def test_enormous_r_is_an_error_not_a_traceback(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="sets the child's memory limit between fork and exec")
+def test_a_dart_range_too_large_to_hold_exits_2():
+    # 10^11 darts make a list of 800 GB; under a 1.5 GB address-space limit its
+    # allocation fails at once
+    import resource
+
+    limit = 1_500_000 * 1024
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypermaps", "count", "--r-min", "1", "--r-max", "100000000000"],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
 
 
 _SMALL_R = st.integers(-1, 7).map(str)
