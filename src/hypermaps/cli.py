@@ -39,9 +39,13 @@ _ROUTES: Dict[Tuple[int, str], Tuple[Callable, Optional[Callable[[int], int]]]] 
     (2, "enumerate"): (lambda rs, enum: [(r, two_face.two_face_gf(r, **enum).gf) for r in rs], lambda r: r // 2),
 }
 #: Per face count, the method run without --method (the recurrence is the
-#: fastest one-face route; two-face polynomials are only enumerated) and the
-#: total number of maps with r darts (r! for one face: each sigma is one map).
-_FACES = {1: ("recursion", factorial), 2: ("enumerate", two_face.two_face_total)}
+#: fastest one-face route; two-face polynomials are only enumerated), the
+#: total number of maps with r darts (r! for one face: each sigma is one map)
+#: and the check that refuses too few darts (None: every r that _r_list takes).
+_FACES = {
+    1: ("recursion", factorial, None),
+    2: ("enumerate", two_face.two_face_total, two_face.check_darts),
+}
 
 
 # table rendering -------------------------------------------------------------
@@ -97,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         if methods:
             per_faces = "; ".join(
                 f"--faces {faces} takes {', '.join(m for f, m in _ROUTES if f == faces)} (default {default})"
-                for faces, (default, _) in _FACES.items()
+                for faces, (default, *_) in _FACES.items()
             )
             choices = tuple(dict.fromkeys(m for _, m in _ROUTES))
             p.add_argument("--method", choices=choices, help=f"construction to use; {per_faces}")
@@ -218,6 +222,9 @@ def _power_of_ten(x: int) -> str:
 def _polys(args, rs: Sequence[int]) -> List[Tuple[int, BivarPoly]]:
     """(r, polynomial) for each r of rs, by the route for --faces and --method."""
     _, build, shapes = _route(args.faces, args.method)
+    check_darts = _FACES[args.faces][2]
+    if check_darts:
+        check_darts(min(rs))  # before --force warns of a walk that would be refused
     return build(rs, _enum_settings(args, rs, shapes))
 
 
@@ -236,7 +243,7 @@ def _cmd_table(args) -> Tuple[str, int]:
 
 
 def _cmd_count(args) -> Tuple[str, int]:
-    _, total = _FACES[args.faces]
+    _, total, _ = _FACES[args.faces]
     counts = [(r, total(r)) for r in _r_list(args)]
     if args.format == "text" and len(counts) == 1:
         return f"{counts[0][1]}\n", 0

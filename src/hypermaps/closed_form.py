@@ -69,22 +69,13 @@ def one_face_poly(r: int) -> BivarPoly:
         weight = comb(r - 1, k)
         if k & 1:
             weight = -weight
-        cm = _next_row(cm, k) if k else rising_ratio(0, r)
-        cn = cm  # the m and n factors share the same expansion
-        for e, a in enumerate(cm):
-            if a == 0:
-                continue
+        row = _next_row(row, k) if k else rising_ratio(0, r)  # the m and n factors share it
+        for e, a in enumerate(row):
             wa = weight * a
-            for v, b in enumerate(cn):
-                if b == 0:
-                    continue
+            for v, b in enumerate(row):
                 ev = (e, v)
-                s = acc.get(ev, 0) + wa * b
-                if s:
-                    acc[ev] = s
-                else:
-                    del acc[ev]
-    return BivarPoly(acc).exact_div(factorial(r))
+                acc[ev] = acc.get(ev, 0) + wa * b
+    return BivarPoly(acc).exact_div(factorial(r))  # the constructor drops the slots that cancelled
 
 
 def stirling_row(r: int) -> List[int]:

@@ -34,7 +34,9 @@ and at least 8! permutations to count (r! times the number of face shapes).
 That branch imports multiprocessing on the first pooled call, so a serial
 run, or a program that merely imports the package, never loads it.  Pool
 workers ignore Ctrl-C and are terminated when the call leaves its pool
-block, however it leaves; a worker that dies mid-walk raises ChildProcessError.
+block, however it leaves; SIGINT and SIGTERM are held back while the pool is
+built, so an interrupt lands only once the block can end it.  A worker that
+dies mid-walk raises ChildProcessError.
 """
 
 from __future__ import annotations
@@ -207,9 +209,10 @@ def cycle_pair_counts(
 
 def _pool_worker() -> None:
     """Pool initializer: leave Ctrl-C to the parent, and let the pool's SIGTERM end the worker."""
-    from signal import SIG_DFL, SIG_IGN, SIGINT, SIGTERM, signal
+    from signal import SIG_DFL, SIG_IGN, SIG_UNBLOCK, SIGINT, SIGTERM, pthread_sigmask, signal
     signal(SIGINT, SIG_IGN)
     signal(SIGTERM, SIG_DFL)  # not the KeyboardInterrupt handler a worker forked under cli.main inherits
+    pthread_sigmask(SIG_UNBLOCK, (SIGINT, SIGTERM))  # blocked by the parent while it built the pool
 
 
 def _shape_counts(
@@ -234,14 +237,22 @@ def _shape_counts(
     count = partial(_count_shard, shapes, connected_only=connected_only)
     if workers > 1 and len(shapes) * factorial(r) >= _POOL_MIN_PERMS:
         from multiprocessing import Pool  # only pooled calls load multiprocessing
-        with Pool(min(workers, r), _pool_worker) as pool:  # leaving the block terminates the workers
-            pids = [w.pid for w in pool._pool]
-            shards = pool.map_async(count, range(r), chunksize=1)
-            while not shards.ready():  # Pool replaces a dead worker but never reruns its shard
-                shards.wait(0.1)
-                if [w.pid for w in pool._pool] != pids:
-                    raise ChildProcessError("an enumeration worker died before the walk was done")
-            shards = shards.get()
+        from signal import SIG_BLOCK, SIG_SETMASK, SIGINT, SIGTERM, pthread_sigmask
+        # an interrupt inside Pool() would leave its worker-handler thread respawning
+        # workers that nothing terminates, so interrupts wait until the pool is whole
+        held = pthread_sigmask(SIG_BLOCK, (SIGINT, SIGTERM))
+        try:
+            with Pool(min(workers, r), _pool_worker) as pool:  # leaving the block terminates the workers
+                pthread_sigmask(SIG_SETMASK, held)
+                pids = [w.pid for w in pool._pool]
+                shards = pool.map_async(count, range(r), chunksize=1)
+                while not shards.ready():  # Pool replaces a dead worker but never reruns its shard
+                    shards.wait(0.1)
+                    if [w.pid for w in pool._pool] != pids:
+                        raise ChildProcessError("an enumeration worker died before the walk was done")
+                shards = shards.get()
+        finally:
+            pthread_sigmask(SIG_SETMASK, held)  # when Pool() itself raised
     else:
         shards = map(count, range(r))
     merged: List[Dict[Tuple[int, int], int]] = [{} for _ in shapes]

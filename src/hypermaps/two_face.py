@@ -43,7 +43,7 @@ from __future__ import annotations
 from math import factorial
 from typing import List, NamedTuple, Optional, Tuple
 
-from .polynomial import BivarPoly
+from .polynomial import BivarPoly, NotDivisible
 from .enumeration import DEFAULT_ENUM_CEILING, _shape_counts, check_ceiling
 from . import closed_form
 
@@ -83,12 +83,24 @@ def two_face_total(r: int) -> int:
 
     No enumeration involved, so this is exact for r far beyond the ceiling.
     Both r! and b!(r-b)! are individually divisible by b, so the division is
-    exact term by term.
+    exact term by term; a remainder raises NotDivisible.
     """
+    check_darts(r)
+    r_fact = factorial(r)
+    total = 0
+    for b in range(1, r):
+        numerator = r_fact - factorial(b) * factorial(r - b)
+        q, rem = divmod(numerator, b)
+        if rem:
+            raise NotDivisible(0, 0, numerator, b)
+        total += q
+    return total
+
+
+def check_darts(r: int) -> None:
+    """Raise ValueError if r darts are too few for two faces (one dart each)."""
     if r < 2:
         raise ValueError("two-face maps need at least 2 darts")
-    r_fact = factorial(r)
-    return sum((r_fact - factorial(b) * factorial(r - b)) // b for b in range(1, r))
 
 
 def connected_two_face_oracle(
@@ -119,8 +131,7 @@ def _unordered_splits(r: int, ceiling: Optional[int]) -> List[Tuple[int, int]]:
     r is checked against the enumeration ceiling before the r // 2 splits are
     built, so an r far past it fails at once instead of exhausting memory.
     """
-    if r < 2:
-        raise ValueError("two-face maps need at least 2 darts")
+    check_darts(r)
     check_ceiling(r, ceiling)
     return [(r - b, b) for b in range(1, r // 2 + 1)]
 

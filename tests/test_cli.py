@@ -486,6 +486,15 @@ def test_two_face_force_warning_counts_its_face_shapes(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("command", ["poly", "table"])
+@pytest.mark.parametrize("darts", [["--r", "1"], ["--r-min", "1", "--r-max", "3"]], ids=["r1", "r1-3"])
+def test_too_few_darts_for_two_faces_are_refused_before_any_warning(capsys, command, darts):
+    # --force would warn of a walk that the library then refuses
+    assert main([command, "--faces", "2", *darts, "--force"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: two-face maps need at least 2 darts\n")
+
+
 def test_force_warning_stays_short_past_20_digits():
     # past 20 digits r! and the time are powers of ten, truncated to one decimal
     assert "22! ~ 1.1e21 permutations, about 89043584.4 years" in _serial_estimate(22)

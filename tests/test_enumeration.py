@@ -1,4 +1,8 @@
 import math
+import os
+import signal
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -97,6 +101,50 @@ def test_malformed_shape_fails_before_any_pool(pools_built):
     with pytest.raises(ValueError):
         cycle_pair_counts([9, 0], workers=2)
     assert pools_built == []
+
+
+# Sends SIGINT to its own process the moment Pool() has started the thread that
+# replaces dead workers, before the pool can be terminated by anyone; then
+# prints how many workers are still alive 5 s after the KeyboardInterrupt.
+_INTERRUPT_INSIDE_POOL = """
+import multiprocessing, os, signal, threading, time
+from hypermaps import enumeration
+
+start = threading.Thread.start
+
+def start_then_interrupt(thread):
+    handles_workers = getattr(thread._target, "__name__", "") == "_handle_workers"
+    start(thread)
+    if handles_workers:
+        os.kill(os.getpid(), signal.SIGINT)
+
+threading.Thread.start = start_then_interrupt
+try:
+    enumeration.one_face_poly(8, workers=2)
+except KeyboardInterrupt:
+    pass
+deadline = time.monotonic() + 5
+while multiprocessing.active_children() and time.monotonic() < deadline:
+    time.sleep(0.05)
+print(len(multiprocessing.active_children()), flush=True)
+os._exit(0)  # skip the exit-time cleanup, which would hide a leftover worker
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_sigmask"), reason="POSIX signal masks")
+def test_an_interrupt_while_the_pool_is_built_leaves_no_worker():
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _INTERRUPT_INSIDE_POOL],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)  # any worker left behind
+        except ProcessLookupError:
+            pass
+    assert (proc.returncode, out) == (0, "0\n"), err
 
 
 def test_ceiling_guard():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from hypermaps import enumeration, two_face
@@ -119,6 +121,14 @@ def test_corrupted_split_is_caught(monkeypatch, offset, divisor):
         with pytest.raises(NotDivisible) as info:
             route()
         assert info.value.divisor == divisor
+
+
+def test_total_with_an_inexact_term_is_caught(monkeypatch):
+    # with 5! read as 121, the b = 2 term 121 - 2! * 3! = 109 is odd
+    monkeypatch.setattr(two_face, "factorial", lambda n: math.factorial(n) + (n == 5))
+    with pytest.raises(NotDivisible) as info:
+        two_face_total(5)
+    assert (info.value.coeff, info.value.divisor) == (109, 2)
 
 
 def test_guards():
