@@ -80,6 +80,39 @@ def _table(pairs: Sequence[Tuple[int, BivarPoly]], fmt: str, listed: bool = True
 
 # argument plumbing -----------------------------------------------------------
 
+#: Each flag group's add_argument calls, as {flag: keywords}; _COMMANDS names
+#: the groups each subcommand takes.
+_FLAGS: Dict[str, Dict[str, dict]] = {
+    "darts": {
+        "--r": dict(type=int, help="single number of darts"),
+        "--r-min": dict(type=int, help="start of a dart range"),
+        "--r-max": dict(type=int, help="end of a dart range (inclusive)"),
+    },
+    "faces": {"--faces": dict(type=int, choices=tuple(_FACES), default=1)},
+    "method": {
+        "--method": dict(
+            choices=tuple(dict.fromkeys(m for _, m in _ROUTES)),
+            help="construction to use; " + "; ".join(
+                f"--faces {faces} takes {', '.join(m for f, m in _ROUTES if f == faces)} (default {default})"
+                for faces, (default, *_) in _FACES.items()
+            ),
+        )
+    },
+    "format": {"--format": dict(choices=("text", "csv", "json"), default="text")},
+    "out": {"--out": dict(metavar="PATH", help="write output to PATH instead of stdout")},
+    "enum": {
+        "--threads": dict(default="1", help="worker processes for enumeration, or 'auto'"),
+        "--force": dict(action="store_true", help="enumerate past the ceiling (warns of the time)"),
+    },
+    "dims": {
+        "--m": dict(type=int, required=True, help="dimension of the subsystem kept by the partial trace"),
+        "--n": dict(type=int, required=True, help="dimension of the subsystem traced out"),
+    },
+    "power": {"--r": dict(type=int, required=True, help="trace power")},
+    "r-max": {"--r-max": dict(type=int, default=9, help="top of the method-agreement range (at least 2)")},
+    "reps": {"--reps": dict(type=int, default=5, help="timed repetitions (median reported)")},
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     import argparse  # only main parses arguments, so a plain import of this module leaves it out
@@ -89,49 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
         "by darts, edges and vertices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # each subcommand gets only the flags its handler reads
-    def common(p, methods=True, faces=True, ranged=True, formats=True, enumerates=True):
-        if ranged:
-            p.add_argument("--r", type=int, help="single number of darts")
-            p.add_argument("--r-min", type=int, help="start of a dart range")
-            p.add_argument("--r-max", type=int, help="end of a dart range (inclusive)")
-        if faces:
-            p.add_argument("--faces", type=int, choices=tuple(_FACES), default=1)
-        if methods:
-            per_faces = "; ".join(
-                f"--faces {faces} takes {', '.join(m for f, m in _ROUTES if f == faces)} (default {default})"
-                for faces, (default, *_) in _FACES.items()
-            )
-            choices = tuple(dict.fromkeys(m for _, m in _ROUTES))
-            p.add_argument("--method", choices=choices, help=f"construction to use; {per_faces}")
-        if formats:
-            p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-        p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-        if enumerates:
-            p.add_argument("--threads", default="1", help="worker processes for enumeration, or 'auto'")
-            p.add_argument("--force", action="store_true", help="enumerate past the ceiling (warns of the time)")
-
-    common(sub.add_parser("poly", help="print a generating polynomial"))
-    common(sub.add_parser("table", help="coefficient table (r, e, v, count)"))
-    common(sub.add_parser("count", help="total number of maps for given darts"), methods=False, enumerates=False)
-    p_stirling = sub.add_parser("stirling", help="unsigned Stirling numbers of the first kind")
-    common(p_stirling, methods=False, faces=False, enumerates=False)
-
-    p_avg = sub.add_parser("avg-trace", help="exact mean trace power of a random reduced state")
-    p_avg.add_argument("--m", type=int, required=True, help="dimension of the subsystem kept by the partial trace")
-    p_avg.add_argument("--n", type=int, required=True, help="dimension of the subsystem traced out")
-    common(p_avg, methods=False, faces=False, ranged=False, enumerates=False)
-    p_avg.add_argument("--r", type=int, required=True, help="trace power")
-
-    p_verify = sub.add_parser("verify", help="run the cross-validation suite")
-    common(p_verify, methods=False, faces=False, ranged=False, formats=False)
-    p_verify.add_argument("--r-max", type=int, default=9, help="top of the method-agreement range (at least 2)")
-
-    p_bench = sub.add_parser("bench", help="time the constructions (CSV)")
-    common(p_bench, faces=False)
-    p_bench.add_argument("--reps", type=int, default=5, help="timed repetitions (median reported)")
-
+    for name, (run, help_line, groups) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for group in groups.split():
+            for flag, spec in _FLAGS[group].items():
+                p.add_argument(flag, **spec)
+        p.set_defaults(run=run)
     return parser
 
 
@@ -432,14 +428,16 @@ def _cmd_verify(args) -> Tuple[str, int]:
 
 # entry point --------------------------------------------------------------------
 
-_HANDLERS = {
-    "poly": _cmd_poly,
-    "table": _cmd_table,
-    "count": _cmd_count,
-    "stirling": _cmd_stirling,
-    "avg-trace": _cmd_avg_trace,
-    "verify": _cmd_verify,
-    "bench": _cmd_bench,
+#: Each subcommand in --help order: (handler, help line, its _FLAGS groups in
+#: --help order).  A subcommand takes only the flags its handler reads.
+_COMMANDS = {
+    "poly": (_cmd_poly, "print a generating polynomial", "darts faces method format out enum"),
+    "table": (_cmd_table, "coefficient table (r, e, v, count)", "darts faces method format out enum"),
+    "count": (_cmd_count, "total number of maps for given darts", "darts faces format out"),
+    "stirling": (_cmd_stirling, "unsigned Stirling numbers of the first kind", "darts format out"),
+    "avg-trace": (_cmd_avg_trace, "exact mean trace power of a random reduced state", "dims format out power"),
+    "verify": (_cmd_verify, "run the cross-validation suite", "out enum r-max"),
+    "bench": (_cmd_bench, "time the constructions (CSV)", "darts method format out enum reps"),
 }
 
 
@@ -458,7 +456,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         on_term = None
     try:
         try:
-            text, code = _HANDLERS[args.command](args)
+            text, code = args.run(args)
         except (LimitExceeded, ValueError, OverflowError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -9,11 +9,12 @@ import sys
 import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypermaps import closed_form, enumeration, recursion, two_face
+from hypermaps import cli, closed_form, enumeration, recursion, two_face
 from hypermaps.cli import _ROUTES, _serial_estimate, main
 
 
@@ -369,6 +370,28 @@ def test_unread_options_are_rejected(capsys):
             main(argv)
         assert exc.value.code == 2, argv
         assert "unrecognized arguments" in capsys.readouterr().err, argv
+
+
+#: --help text for the top level (hypermaps.txt) and each subcommand, at 80 columns
+_HELP = Path(__file__).with_name("help")
+
+
+@pytest.mark.parametrize("name", ["hypermaps", "poly", "table", "count", "stirling", "avg-trace", "verify", "bench"])
+def test_help_text_is_pinned(capsys, monkeypatch, name):
+    # argparse wraps help to COLUMNS, or else to the terminal's width
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*([] if name == "hypermaps" else [name]), "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == (_HELP / f"{name}.txt").read_text()
+
+
+def test_every_handler_is_registered_once():
+    runs = [run for run, _, _ in cli._COMMANDS.values()]
+    handlers = {obj for name, obj in vars(cli).items() if name.startswith("_cmd_")}
+    assert len(runs) == len(set(runs))
+    assert set(runs) == handlers
+    assert not hasattr(cli, "_HANDLERS")
 
 
 def test_out_file(tmp_path, capsys):

@@ -69,6 +69,34 @@ def test_large_r_matches_truncated_sum(streamed_200, r):
         assert streamed_200[r].eval_at(m, n) == closed_form.avg_trace_power_alt(m, n, r) * rising, (m, n)
 
 
+def _exact_div(a, b):
+    q, rem = divmod(a, b)
+    if rem:
+        raise NotDivisible(0, 0, a, b)
+    return q
+
+
+def _pointwise_closed_form(r, m, n):
+    'P_r(m, n) = sum_k (-1)^k C(r-1, k) a_k(m) a_k(n) / r!, with a_k(x) = (x-k)(x-k+1)...(x-k+r-1)'
+    am, an = prod(range(m, m + r)), prod(range(n, n + r))
+    total = 0
+    for k in range(r):
+        if k:
+            # a_k(x) = a_{k-1}(x) (x-k) / (x-k+r), and x-k+r >= 2 for x >= 1
+            am = _exact_div(am * (m - k), m - k + r)
+            an = _exact_div(an * (n - k), n - k + r)
+        total += (-1) ** k * comb(r - 1, k) * am * an
+    return _exact_div(total, factorial(r))
+
+
+def test_stream_matches_the_pointwise_closed_form():
+    'point values of P_r up to r = 300 against the closed form evaluated at integers, with no polynomial'
+    for r, poly in stream(300):
+        if r in (250, 299, 300):
+            for m, n in ((1, 1), (2, 3), (8, 8), (7, 5), (r + 1, r + 2), (10007, 9973)):
+                assert poly.eval_at(m, n) == _pointwise_closed_form(r, m, n), (r, m, n)
+
+
 def test_stream_covers_range():
     pairs = list(stream(6))
     assert [r for r, _ in pairs] == [1, 2, 3, 4, 5, 6]
