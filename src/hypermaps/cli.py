@@ -345,8 +345,8 @@ def _check_stirling(rmax, enum):
 
 
 def _check_symmetry_parity(rmax=20):
-    # the closed form expands every slot; the recurrence mirrors half of each
-    # row, so its output would be symmetric by construction
+    # tests the closed form's mirror of its e < v sums and the cancellation of every off-parity
+    # and off-triangle slot, which it still sums; the recurrence's rows are symmetric by construction
     for r in range(1, rmax + 1):
         poly = closed_form.one_face_poly(r)
         if poly != poly.swap_vars():

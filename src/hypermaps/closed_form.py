@@ -9,7 +9,8 @@ has (removable) poles; the vanishing factors of the product are precisely
 what truncates the sum at small arguments.  Only the k=0 product is expanded
 factor by factor; each next one takes O(r): an exact division by the top
 factor of the one before (a remainder raises NotDivisible) and a new bottom
-factor.
+factor.  The m and n factors are the same row, so the coefficient of m^e n^v
+equals that of m^v n^e: only the slots with e <= v are summed, then mirrored.
 
 The same rising factorials give the unsigned Stirling numbers of the first
 kind (the k=0 product m(m+1)...(m+r-1) expands to the cycle-count histogram
@@ -61,6 +62,7 @@ def one_face_poly(r: int) -> BivarPoly:
     Built in polynomial time from the closed-form sum in integers; each rising
     row after a_0 is stepped from the one before in O(r) (_next_row), and
     every step and the final division by r! is exact or raises NotDivisible.
+    Slot (e, v) sums w_k a_k[e] a_k[v]: only e <= v is summed, then copied to (v, e).
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
@@ -72,9 +74,10 @@ def one_face_poly(r: int) -> BivarPoly:
         row = _next_row(row, k) if k else rising_ratio(0, r)  # the m and n factors share it
         for e, a in enumerate(row):
             wa = weight * a
-            for v, b in enumerate(row):
+            for v, b in enumerate(row[e:], e):
                 ev = (e, v)
                 acc[ev] = acc.get(ev, 0) + wa * b
+    acc.update({(v, e): c for (e, v), c in acc.items() if e < v})  # the (e, v) sum is also (v, e)
     return BivarPoly(acc).exact_div(factorial(r))  # the constructor drops the slots that cancelled
 
 

@@ -49,21 +49,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .polynomial import BivarPoly
 
 #: Largest r enumerated without an explicit override; r=13 is about 6.2e9
-#: permutations.  Serial one_face_poly(11) took 98 s, 2.5 us per permutation
-#: (2.4-2.5 us in three runs at r=10; Python 3.11.7 on a 2-core x86 machine),
-#: so r=13 is about 4.5 hours of work, the cost per permutation growing a
+#: permutations.  Serial one_face_poly(11) took 87 s, 2.2 us per permutation
+#: (1.8-2.2 us in three runs at r=10; Python 3.11.7 on a 2-core Intel Xeon),
+#: so r=13 is about 3.5-4 hours of work, the cost per permutation growing a
 #: little with r, and growth beyond that is r-fold.
 DEFAULT_ENUM_CEILING = 13
 
-#: The serial rate quoted above, in nanoseconds per permutation, from which
-#: the CLI's --force warning estimates a run's time.
-_NS_PER_PERM = 2500
+#: The serial rate at r=10 (median of the three runs above, 2.06 us), in ns
+#: per permutation, from which the CLI's --force warning estimates a run's time.
+_NS_PER_PERM = 2000
 
-#: Each face shape past the first adds this to _NS_PER_PERM (two_face_gf
-#: counts r // 2).  At r = 10, serial medians of three runs (Python 3.11.7,
-#: 2-core Intel Xeon) were 1.77 us per permutation for one shape and 5.28 us
-#: for two_face_gf's five, so a shape adds 0.88 us, half the one-face rate.
-_NS_PER_EXTRA_SHAPE = 1250
+#: Each face shape past the first adds this to _NS_PER_PERM (two_face_gf counts
+#: r // 2).  In the same three runs two_face_gf(10) took 5.92-6.73 us per
+#: permutation (median 5.93) for five shapes, so a shape adds 0.97 us.
+_NS_PER_EXTRA_SHAPE = 1000
 
 #: A call with more than one worker pools its shards only when it counts at
 #: least this many permutations (number of shapes times r!); below that the
