@@ -345,8 +345,8 @@ def _check_stirling(rmax, enum):
 
 
 def _check_symmetry_parity(rmax=20):
-    # tests the closed form's mirror of its e < v sums and the cancellation of every off-parity
-    # and off-triangle slot, which it still sums; the recurrence's rows are symmetric by construction
+    # the closed form sums only its Euler-parity lattice, so this tests its mirror of the e < v sums and
+    # its cancelled off-triangle slots; the certificate check's telescoping_check compares every slot (s <= 10)
     for r in range(1, rmax + 1):
         poly = closed_form.one_face_poly(r)
         if poly != poly.swap_vars():

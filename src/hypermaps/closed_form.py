@@ -11,6 +11,10 @@ factor by factor; each next one takes O(r): an exact division by the top
 factor of the one before (a remainder raises NotDivisible) and a new bottom
 factor.  The m and n factors are the same row, so the coefficient of m^e n^v
 equals that of m^v n^e: only the slots with e <= v are summed, then mirrored.
+Every term also has e + v = r + 1 - 2g for its genus g, so only the slots on
+that Euler-parity lattice, e + v = r + 1 (mod 2), are summed: off it, the
+k and r-1-k summands are equal and opposite, and for odd r the middle one is
+its own negative.
 
 The same rising factorials give the unsigned Stirling numbers of the first
 kind (the k=0 product m(m+1)...(m+r-1) expands to the cycle-count histogram
@@ -63,10 +67,16 @@ def one_face_poly(r: int) -> BivarPoly:
     row after a_0 is stepped from the one before in O(r) (_next_row), and
     every step and the final division by r! is exact or raises NotDivisible.
     Slot (e, v) sums w_k a_k[e] a_k[v]: only e <= v is summed, then copied to (v, e).
+
+    Only the slots with e + v = r + 1 (mod 2) are summed; the others are zero.
+    a_(r-1-k)(x) = (-1)^r a_k(-x) and w_(r-1-k) = (-1)^(r-1) w_k, so the k and
+    r-1-k summands of slot (e, v) differ by the factor (-1)^(r-1+e+v): off the
+    lattice they cancel in pairs, and for odd r the middle k cancels itself.
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
     acc: Dict[Tuple[int, int], int] = {}
+    p = (r + 1) & 1  # v - e has the parity of r + 1 on the lattice
     for k in range(r):
         weight = comb(r - 1, k)
         if k & 1:
@@ -74,11 +84,11 @@ def one_face_poly(r: int) -> BivarPoly:
         row = _next_row(row, k) if k else rising_ratio(0, r)  # the m and n factors share it
         for e, a in enumerate(row):
             wa = weight * a
-            for v, b in enumerate(row[e:], e):
+            for v in range(e + p, r + 1, 2):
                 ev = (e, v)
-                acc[ev] = acc.get(ev, 0) + wa * b
+                acc[ev] = acc.get(ev, 0) + wa * row[v]
     acc.update({(v, e): c for (e, v), c in acc.items() if e < v})  # the (e, v) sum is also (v, e)
-    return BivarPoly(acc).exact_div(factorial(r))  # the constructor drops the slots that cancelled
+    return BivarPoly(acc).exact_div(factorial(r))  # the constructor drops the off-triangle slots that cancelled
 
 
 def stirling_row(r: int) -> List[int]:

@@ -107,10 +107,23 @@ def test_marginal_at_n_1_is_the_rising_factorial():
 
 
 def test_equal_arguments_have_fixed_parity():
-    'with m = n every total degree has the opposite parity to r'
-    for r in range(1, 12):
-        degrees = {e + v for (e, v), _ in closed_form.one_face_poly(r).sorted_terms()}
-        assert all((d - r - 1) % 2 == 0 for d in degrees)
+    'summed over every slot, the closed form is 0 off the lattice e + v = r + 1 (mod 2) and r! P_r on it'
+    # one_face_poly sums only the lattice, so the full sum is rebuilt here from the expanded rows
+    for r in [*range(1, 12), 21, 22, 45, 64]:
+        poly = closed_form.one_face_poly(r)
+        summands = [((-1) ** k * math.comb(r - 1, k), rising_ratio(k, r)) for k in range(r)]
+        for e in range(r + 1):
+            for v in range(e, r + 1):
+                total = sum(w * row[e] * row[v] for w, row in summands)
+                if (e + v - r - 1) % 2:
+                    assert total == 0, (r, e, v)
+                else:
+                    assert total == math.factorial(r) * poly.coefficient(e, v), (r, e, v)
+    # the reason: a_(r-1-k)(x) = (-1)^r a_k(-x), so the k and r-1-k summands cancel off the lattice
+    for r in range(1, 31):
+        for k in range(r):
+            row, mirror = rising_ratio(k, r), rising_ratio(r - 1 - k, r)
+            assert all(mirror[e] == (-1) ** (r + e) * row[e] for e in range(r + 1)), (r, k)
 
 
 def test_stirling_rows():
