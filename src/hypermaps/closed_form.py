@@ -14,7 +14,9 @@ equals that of m^v n^e: only the slots with e <= v are summed, then mirrored.
 Every term also has e + v = r + 1 - 2g for its genus g, so only the slots on
 that Euler-parity lattice, e + v = r + 1 (mod 2), are summed: off it, the
 k and r-1-k summands are equal and opposite, and for odd r the middle one is
-its own negative.
+its own negative.  One last pass divides each e <= v sum by r! once (a
+remainder raises NotDivisible), writes the quotient to both (e, v) and
+(v, e), and drops the sums that cancelled to zero.
 
 The same rising factorials give the unsigned Stirling numbers of the first
 kind (the k=0 product m(m+1)...(m+r-1) expands to the cycle-count histogram
@@ -24,11 +26,10 @@ powers of a random bipartite reduced density operator.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from math import comb, factorial, prod
 from typing import Dict, List, Sequence, Tuple
 
-from .polynomial import BivarPoly, NotDivisible
+from .polynomial import BivarPoly, NotDivisible, _wrap
 
 
 def rising_ratio(k: int, r: int) -> Tuple[int, ...]:
@@ -54,9 +55,12 @@ def rising_ratio(k: int, r: int) -> Tuple[int, ...]:
 def _next_row(row: Sequence[int], k: int) -> Tuple[int, ...]:
     """a_k from a_(k-1) = row in O(r): divide out x - (k-r) exactly or raise NotDivisible, times x - k."""
     c = k - len(row) + 1
-    q = [*accumulate(row[:0:-1], lambda carry, a: a + c * carry)][::-1]  # synthetic division from the top
-    if row[0] + c * q[0]:
-        raise NotDivisible(0, 0, row[0] + c * q[0], f"x{-c:+d}")  # the remainder, as a constant term
+    q = [row[-1]]
+    for a in row[-2:0:-1]:  # synthetic division from the top
+        q.append(a + c * q[-1])
+    if row[0] + c * q[-1]:
+        raise NotDivisible(0, 0, row[0] + c * q[-1], f"x{-c:+d}")  # the remainder, as a constant term
+    q.reverse()
     return tuple([a - k * b for a, b in zip([0, *q], [*q, 0])])  # a list: tuple(genexpr) fragments the heap
 
 
@@ -66,7 +70,9 @@ def one_face_poly(r: int) -> BivarPoly:
     Built in polynomial time from the closed-form sum in integers; each rising
     row after a_0 is stepped from the one before in O(r) (_next_row), and
     every step and the final division by r! is exact or raises NotDivisible.
-    Slot (e, v) sums w_k a_k[e] a_k[v]: only e <= v is summed, then copied to (v, e).
+    Slot (e, v) sums w_k a_k[e] a_k[v]: only e <= v is summed.  The last pass
+    divides each of those sums by r! once, writes the quotient to both (e, v)
+    and (v, e), and drops the sums that cancelled to zero.
 
     Only the slots with e + v = r + 1 (mod 2) are summed; the others are zero.
     a_(r-1-k)(x) = (-1)^r a_k(-x) and w_(r-1-k) = (-1)^(r-1) w_k, so the k and
@@ -87,8 +93,14 @@ def one_face_poly(r: int) -> BivarPoly:
             for v in range(e + p, r + 1, 2):
                 ev = (e, v)
                 acc[ev] = acc.get(ev, 0) + wa * row[v]
-    acc.update({(v, e): c for (e, v), c in acc.items() if e < v})  # the (e, v) sum is also (v, e)
-    return BivarPoly(acc).exact_div(factorial(r))  # the constructor drops the off-triangle slots that cancelled
+    d, terms = factorial(r), {}
+    for (e, v), c in acc.items():
+        if c:  # off the triangle e, v >= 1, e + v <= r + 1 the sums cancel to 0
+            q, rem = divmod(c, d)
+            if rem:
+                raise NotDivisible(e, v, c, d)
+            terms[e, v] = terms[v, e] = q  # the (e, v) sum is also (v, e)
+    return _wrap(terms)
 
 
 def stirling_row(r: int) -> List[int]:

@@ -77,6 +77,19 @@ def test_corrupted_row_is_caught_by_the_step():
     assert caught.value.divisor == "x+11"
 
 
+def test_final_division_is_exact_or_raise_slot_by_slot(monkeypatch):
+    'each summed slot is divided by r! once: a remainder raises, and a sum that cancelled is not stored'
+    for r in range(1, 31):
+        assert all(c for _, c in closed_form.one_face_poly(r).sorted_terms()), r
+    monkeypatch.setattr(closed_form, "factorial", lambda r: math.factorial(r) + 1)
+    with pytest.raises(NotDivisible) as caught:
+        closed_form.one_face_poly(12)
+    err = caught.value
+    assert err.e <= err.v  # only the summed half is divided; the mirror copies its quotient
+    assert err.divisor == math.factorial(12) + 1
+    assert err.coeff % err.divisor
+
+
 def test_base_cases():
     assert closed_form.one_face_poly(1) == BivarPoly({(1, 1): 1})
     assert closed_form.one_face_poly(2) == BivarPoly({(2, 1): 1, (1, 2): 1})
