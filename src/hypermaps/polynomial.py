@@ -65,9 +65,6 @@ class BivarPoly:
     def __setattr__(self, name, value):
         raise AttributeError("BivarPoly is immutable")
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __len__(self) -> int:
         return len(self._terms)
 

@@ -1,7 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Every check is an exact equality (integer, rational or polynomial); the only
-tolerances involved are the stated wall-clock budgets.  Run with
+Criteria 1-8 are the eight checks of the shipped `hypermaps verify`, read
+from one in-process run of it with its defaults (--r-max 9, one worker):
+each criterion's verdict and detail come from its check's PASS/FAIL line on
+stdout, and its elapsed time from the check's timing line on stderr.
+Criteria 9 and 10 are timed and run here.  Every check is an exact equality
+(integer, rational or polynomial); the only tolerances involved are the
+stated wall-clock budgets.  Run with
 
     pytest -s tests/test_acceptance.py -v
 
@@ -9,18 +14,16 @@ to see the one-line verdicts as they are produced.
 """
 
 import gc
+import io
 import math
 import subprocess
 import sys
 import time
-from fractions import Fraction
+from contextlib import redirect_stderr, redirect_stdout
 
-from hypermaps import closed_form, enumeration, recursion, two_face
-from hypermaps.polynomial import BivarPoly
+import pytest
 
-P1 = BivarPoly({(1, 1): 1})
-P2 = BivarPoly({(2, 1): 1, (1, 2): 1})
-TOTAL_THROUGH_13 = 6_749_977_113
+from hypermaps import cli, closed_form, enumeration
 
 
 def _report(number, title, ok, detail, elapsed, budget):
@@ -32,113 +35,42 @@ def _report(number, title, ok, detail, elapsed, budget):
     assert elapsed < budget, f"criterion {number} exceeded {budget}s ({elapsed:.2f}s)"
 
 
-def test_c01_base_cases():
-    t0 = time.perf_counter()
-    ok = True
-    recs = dict(recursion.stream(2))
-    for r, expected in ((1, P1), (2, P2)):
-        ok &= enumeration.one_face_poly(r) == expected
-        ok &= closed_form.one_face_poly(r) == expected
-        ok &= recs[r] == expected
-    _report(1, "base-cases", ok, "P_1 = m*n, P_2 = m^2*n + m*n^2, all methods",
-            time.perf_counter() - t0, 1.0)
+@pytest.fixture(scope="module")
+def verify_run():
+    """{check name: (passed, detail, seconds)} from one `hypermaps verify` run with its defaults."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        cli.main(["verify"])
+    seconds = {}
+    for line in err.getvalue().splitlines():  # "time <name>: 0.123 s"
+        if line.startswith("time "):
+            name, value = line[5:].split(": ")
+            seconds[name] = float(value[:-2])
+    checks = {}
+    for line in out.getvalue().splitlines()[:-1]:  # "PASS <name>: <detail>", then the summary
+        status, rest = line.split(" ", 1)
+        name, detail = rest.split(": ", 1)
+        checks[name] = (status == "PASS", detail, seconds[name])
+    # criterion 2 holds up to r = 9, verify's default --r-max
+    assert checks["method-agreement"][1].endswith("r = 1..9")
+    return checks
 
 
-def test_c02_three_method_agreement():
-    t0 = time.perf_counter()
-    recs = dict(recursion.stream(9))
-    ok = all(
-        enumeration.one_face_poly(r) == closed_form.one_face_poly(r) == recs[r]
-        for r in range(1, 10)
-    )
-    _report(2, "three-method-agreement", ok, "exact equality for r = 1..9",
-            time.perf_counter() - t0, 30.0)
+def _criterion(number, title, budget, check=None):
+    """The test of criterion number: verify's check (named title unless check is given) within budget seconds."""
+    def test(verify_run):
+        _report(number, title, *verify_run[check or title], budget)
+    return test
 
 
-def test_c03_totals():
-    t0 = time.perf_counter()
-    recs = dict(recursion.stream(13))
-    cumulative = 0
-    ok = True
-    for r in range(1, 14):
-        expected = math.factorial(r)
-        ok &= closed_form.one_face_poly(r).eval_at(1, 1) == expected
-        ok &= recs[r].eval_at(1, 1) == expected
-        cumulative += expected
-    ok &= cumulative == TOTAL_THROUGH_13
-    _report(3, "totals", ok, f"P_r(1,1) = r! for r <= 13, cumulative {cumulative}",
-            time.perf_counter() - t0, 5.0)
-
-
-def test_c04_stirling_marginal():
-    t0 = time.perf_counter()
-    ok = True
-    for r in range(1, 9):
-        row = closed_form.stirling_row(r)
-        expected = {k: c for k, c in enumerate(row, start=1) if c}
-        ok &= closed_form.one_face_poly(r).substitute_n(1) == expected
-        histogram = {}
-        for (cs, _), count in enumeration.cycle_pair_counts([r]).items():
-            histogram[cs] = histogram.get(cs, 0) + count
-        ok &= histogram == expected
-    _report(4, "stirling-marginal", ok,
-            "P_r(m,1) = Stirling row = cycle histogram for r <= 8",
-            time.perf_counter() - t0, 10.0)
-
-
-def test_c05_symmetry_and_parity():
-    t0 = time.perf_counter()
-    ok = True
-    for r, poly in recursion.stream(20):
-        ok &= poly == poly.swap_vars()
-        ok &= poly == closed_form.one_face_poly(r)
-        for (e, v), c in poly.sorted_terms():
-            ok &= c > 0 and e >= 1 and v >= 1
-            ok &= e + v <= r + 1 and (e + v - r - 1) % 2 == 0
-    _report(5, "symmetry-parity", ok, "m<->n symmetry and Euler parity for r <= 20",
-            time.perf_counter() - t0, 5.0)
-
-
-def test_c06_certificate():
-    t0 = time.perf_counter()
-    ok = all(
-        recursion.verify_certificate(r, k)
-        for r in range(1, 9)
-        for k in range(-1, r + 3)
-    )
-    ok &= all(recursion.telescoping_check(r) for r in range(1, 9))
-    _report(6, "certificate", ok, "identity and telescoping for r <= 8, k in -1..r+2",
-            time.perf_counter() - t0, 30.0)
-
-
-def test_c07_quantum_moments():
-    t0 = time.perf_counter()
-    ok = True
-    for m in range(1, 9):
-        for n in range(1, 9):
-            for r in range(1, 13):
-                a = closed_form.avg_trace_power(m, n, r)
-                ok &= a == closed_form.avg_trace_power_alt(m, n, r)
-                if r == 1 or (m == 1 and n == 1):
-                    ok &= a == Fraction(1)
-    _report(7, "quantum-moments", ok,
-            "both routes equal for m,n <= 8, r <= 12; unit cases are 1",
-            time.perf_counter() - t0, 10.0)
-
-
-def test_c08_two_face():
-    t0 = time.perf_counter()
-    ok = True
-    totals = {}
-    for r in range(2, 9):
-        result = two_face.two_face_gf(r)
-        ok &= result.gf == two_face.connected_two_face_oracle(r)
-        ok &= result.total == two_face.two_face_total(r)
-        totals[r] = result.total
-    ok &= totals[2] == 1 and totals[3] == 6 and totals[4] == 34
-    _report(8, "two-face", ok,
-            "subtraction = transitive oracle and totals match for r = 2..8",
-            time.perf_counter() - t0, 60.0)
+test_c01_base_cases = _criterion(1, "base-cases", 1.0)
+test_c02_three_method_agreement = _criterion(2, "three-method-agreement", 30.0, check="method-agreement")
+test_c03_totals = _criterion(3, "totals", 5.0)
+test_c04_stirling_marginal = _criterion(4, "stirling-marginal", 10.0)
+test_c05_symmetry_and_parity = _criterion(5, "symmetry-parity", 5.0)
+test_c06_certificate = _criterion(6, "certificate", 30.0)
+test_c07_quantum_moments = _criterion(7, "quantum-moments", 10.0)
+test_c08_two_face = _criterion(8, "two-face", 60.0)
 
 
 def _loop_seconds(pieces=5):

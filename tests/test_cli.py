@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypermaps import cli, closed_form, enumeration, recursion, two_face
 from hypermaps.cli import _ROUTES, _serial_estimate, main
+from hypermaps.polynomial import BivarPoly
 
 
 @contextmanager
@@ -416,14 +417,6 @@ def test_out_write_failure_exit_code(tmp_path, capsys, target):
     assert list((tmp_path / "d").iterdir()) == []
 
 
-def test_verify_passes(capsys):
-    code, out = run_cli(capsys, "verify", "--r-max", "5")
-    assert code == 0
-    assert "verify: 8/8 checks passed" in out
-    assert out.count("PASS") == 8
-    assert "6749977113" in out
-
-
 def test_verify_times_go_to_stderr(capsys):
     code = main(["verify", "--r-max", "5"])
     captured = capsys.readouterr()
@@ -458,11 +451,47 @@ def test_verify_r_max_below_two_is_rejected(capsys, r_max):
     assert captured.err == "error: --r-max must be at least 2, the smallest two-face check\n"
 
 
-def test_verify_default_range_passes(capsys):
-    code, out = run_cli(capsys, "verify")
-    assert code == 0
-    assert "verify: 8/8 checks passed" in out
-    assert "r = 1..9" in out
+def _adds(extra, *at):
+    """A corruption of a function: it adds extra to the value at the arguments at, or to every value without at."""
+    def corrupt(fn):
+        def corrupted(*args, **kwargs):
+            value = fn(*args, **kwargs)
+            return value + extra if not at or args == at else value
+        return corrupted
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "module, name, corrupt, failure",
+    [
+        (recursion, "stream", lambda stream: lambda r_max: (
+            (r, p + BivarPoly({(1, 3): 1}) if r == 2 else p) for r, p in stream(r_max)
+        ), "FAIL base-cases: mismatch at r=2"),
+        (enumeration, "one_face_poly", _adds(BivarPoly({(1, 1): 1}), 3),
+         "FAIL method-agreement: methods disagree at r=3"),
+        (cli, "TOTAL_THROUGH_13", lambda total: total + 1,
+         "FAIL totals: cumulative total 6749977113 != 6749977114"),
+        (closed_form, "stirling_row", lambda row: lambda r: [c + (r == 2) for c in row(r)],
+         "FAIL stirling-marginal: marginal != Stirling row at r=2"),
+        (closed_form, "one_face_poly", _adds(BivarPoly({(5, 0): 1}), 15),
+         "FAIL symmetry-parity: closed != recursion at r=15"),
+        (recursion, "certificate_bracket", _adds(BivarPoly({(0, 0): 1})),
+         "FAIL certificate: certificate fails at (r=1, k=0)"),
+        (closed_form, "avg_trace_power_alt", _adds(1, 3, 2, 2),
+         "FAIL quantum-moments: routes disagree at (m=3, n=2, r=2)"),
+        (two_face, "two_face_total", _adds(1, 3), "FAIL two-face: total != closed formula at r=3"),
+    ],
+    ids=["base-cases", "method-agreement", "totals", "stirling-marginal", "symmetry-parity",
+         "certificate", "quantum-moments", "two-face"],
+)
+def test_each_verify_check_fails_on_a_corrupted_route(capsys, monkeypatch, module, name, corrupt, failure):
+    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+    code, out = run_cli(capsys, "verify", "--r-max", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert failure in lines
+    summary = re.fullmatch(r"verify: (\d)/8 checks passed", lines[-1])
+    assert summary and int(summary[1]) < 8
 
 
 def test_verify_force_warns(capsys):

@@ -13,6 +13,7 @@ ZERO = BivarPoly()
 def test_add_additive_inverse_gives_zero():
     assert MN + BivarPoly({(1, 1): -1}) == ZERO
     assert not (MN - MN)
+    assert MN
 
 
 def test_add_disjoint_supports():
