@@ -250,7 +250,7 @@ def _cmd_count(args) -> Tuple[str, int]:
 
 def _cmd_stirling(args) -> Tuple[str, int]:
     rs = _r_list(args)
-    rows = [(r, closed_form.stirling_row(r)) for r in rs]
+    rows = [(r, row) for r, row in closed_form.stirling_rows(rs[-1]) if r >= rs[0]]
     if args.format == "text":
         return "".join(" ".join(str(c) for c in row) + "\n" for _, row in rows), 0
     if args.format == "json":

@@ -9,8 +9,9 @@ has (removable) poles; the vanishing factors of the product are precisely
 what truncates the sum at small arguments.  Only the k=0 product is expanded
 factor by factor; each next one takes O(r): an exact division by the top
 factor of the one before (a remainder raises NotDivisible) and a new bottom
-factor.  The m and n factors are the same row, so the coefficient of m^e n^v
-equals that of m^v n^e: only the slots with e <= v are summed, then mirrored.
+factor.  Every factor (x + c) is multiplied in by the same one carry pass.
+The m and n factors are the same row, so the coefficient of m^e n^v equals
+that of m^v n^e: only the slots with e <= v are summed, then mirrored.
 Every term also has e + v = r + 1 - 2g for its genus g, so only the slots on
 that Euler-parity lattice, e + v = r + 1 (mod 2), are summed: off it, the
 k and r-1-k summands are equal and opposite, and for odd r the middle one is
@@ -20,16 +21,27 @@ remainder raises NotDivisible), writes the quotient to both (e, v) and
 
 The same rising factorials give the unsigned Stirling numbers of the first
 kind (the k=0 product m(m+1)...(m+r-1) expands to the cycle-count histogram
-of Sym_r), and, scaled by a rising product in m*n, the exact mean trace
-powers of a random bipartite reduced density operator.
+of Sym_r, and a range of rows is stepped row to row), and, scaled by a
+rising product in m*n, the exact mean trace powers of a random bipartite
+reduced density operator.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial, prod
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .polynomial import BivarPoly, NotDivisible, _wrap
+
+
+def _times_x_plus(coeffs: Sequence[int], c: int) -> List[int]:
+    """coeffs times (x + c), lowest power first, in one carry pass: entry i is c * coeffs[i] + coeffs[i-1]."""
+    below, out = 0, []
+    for b in coeffs:
+        out.append(below + c * b)
+        below = b
+    out.append(below)
+    return out
 
 
 def rising_ratio(k: int, r: int) -> Tuple[int, ...]:
@@ -47,8 +59,8 @@ def rising_ratio(k: int, r: int) -> Tuple[int, ...]:
     if k < 0:
         raise ValueError("shift k must be nonnegative")
     coeffs = [1]
-    for shift in range(-k, r - k):  # times (x + shift): x * coeffs plus shift * coeffs
-        coeffs = [a + shift * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+    for shift in range(-k, r - k):
+        coeffs = _times_x_plus(coeffs, shift)
     return tuple(coeffs)
 
 
@@ -61,7 +73,7 @@ def _next_row(row: Sequence[int], k: int) -> Tuple[int, ...]:
     if row[0] + c * q[-1]:
         raise NotDivisible(0, 0, row[0] + c * q[-1], f"x{-c:+d}")  # the remainder, as a constant term
     q.reverse()
-    return tuple([a - k * b for a, b in zip([0, *q], [*q, 0])])  # a list: tuple(genexpr) fragments the heap
+    return tuple(_times_x_plus(q, -k))
 
 
 def one_face_poly(r: int) -> BivarPoly:
@@ -111,6 +123,18 @@ def stirling_row(r: int) -> List[int]:
     is zero.
     """
     return list(rising_ratio(0, r)[1:])
+
+
+def stirling_rows(r_max: int) -> Iterator[Tuple[int, List[int]]]:
+    """(r, stirling_row(r)) for r = 1..r_max, in one pass.
+
+    Row r is read off row r-1 times (x + r - 1), so the range costs what the
+    expansion of its last row does.
+    """
+    row = [1]
+    for r in range(1, r_max + 1):
+        row = _times_x_plus(row, r - 1)
+        yield r, row[1:]
 
 
 def avg_trace_power(m: int, n: int, r: int) -> Fraction:

@@ -173,6 +173,8 @@ _TERMS_3 = (
         ("count --r-min 1 --r-max 3", "r,faces,count\n1,1,1\n2,1,2\n3,1,6\n"),
         ("stirling --r 4 --format json", '[{"r": 4, "row": ["6", "11", "6", "1"]}]\n'),
         ("stirling --r-min 1 --r-max 4", "1\n1 1\n2 3 1\n6 11 6 1\n"),
+        # a range is stepped from r = 1 and drops the rows below --r-min
+        ("stirling --r-min 3 --r-max 5", "2 3 1\n6 11 6 1\n24 50 35 10 1\n"),
     ],
 )
 def test_every_format_is_pinned(capsys, argv, expected):
@@ -874,6 +876,15 @@ def test_poly_range_recursion_golden():
     out = _subprocess_out("poly", "--r-min", "1", "--r-max", "60")
     assert hashlib.sha256(out).hexdigest() == (
         "c6fb6382cc5d8bb6c42a675cb51fdcc9e5906d1efbe93744647b0c1ce6e29cc8"
+    )
+
+
+def test_stirling_range_golden():
+    # pins the stepped Stirling rows byte for byte: stdout of
+    # `hypermaps stirling --r-min 1 --r-max 200`
+    out = _subprocess_out("stirling", "--r-min", "1", "--r-max", "200")
+    assert hashlib.sha256(out).hexdigest() == (
+        "562d1c2d8f120f1aae4f186acc8e98234fdc8b67e3b6163cce6dfdd18751c4b7"
     )
 
 

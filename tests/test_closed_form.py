@@ -6,10 +6,12 @@ import pytest
 from hypermaps import closed_form, enumeration, recursion
 from hypermaps.closed_form import (
     _next_row,
+    _times_x_plus,
     avg_trace_power,
     avg_trace_power_alt,
     rising_ratio,
     stirling_row,
+    stirling_rows,
 )
 from hypermaps.polynomial import BivarPoly, NotDivisible
 
@@ -48,6 +50,17 @@ def test_rising_ratio_matches_factorial_quotient_where_defined():
                 assert _value(rising_ratio(k, r), x) == expected
 
 
+def test_times_x_plus_is_one_linear_factor():
+    'the carry pass multiplies by (x + c): same values at every x, degree one higher'
+    for coeffs in ([1], [0, 1], [3, -2, 5], [-7, 0, 0, 4, 1]):
+        for c in (-3, 0, 2):
+            out = _times_x_plus(coeffs, c)
+            assert len(out) == len(coeffs) + 1
+            assert out == [a + c * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+            for x in range(-4, 5):
+                assert _value(out, x) == (x + c) * _value(coeffs, x), (coeffs, c, x)
+
+
 def test_stepped_rows_equal_expanded_rows():
     'a_k stepped from a_0 by one exact division and one multiplication equals the expansion'
     for r in range(1, 41):
@@ -75,6 +88,7 @@ def test_corrupted_row_is_caught_by_the_step():
         _next_row(row, 1)
     assert caught.value.coeff == 1  # the row's value at the root x = -11 of its top factor
     assert caught.value.divisor == "x+11"
+    assert str(caught.value) == "coefficient 1 of m^0*n^0 is not divisible by x+11"
 
 
 def test_final_division_is_exact_or_raise_slot_by_slot(monkeypatch):
@@ -153,6 +167,14 @@ def test_stirling_row_structure():
         assert row[-1] == 1
         if r >= 2:
             assert row[-2] == r * (r - 1) // 2
+
+
+def test_stepped_stirling_rows_equal_expanded_rows():
+    'row r of the stepped range, row r-1 times (x + r - 1), is the row expanded for r alone'
+    stepped = list(stirling_rows(150))
+    assert [r for r, _ in stepped] == list(range(1, 151))
+    for r, row in stepped:
+        assert row == stirling_row(r) == list(rising_ratio(0, r)[1:]), r
 
 
 def test_stirling_rows_match_cycle_histograms():
