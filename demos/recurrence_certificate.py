@@ -15,11 +15,11 @@ for r in range(1, 7):
     print(f"  r={r}:  k = -1..{r + 2}:  {'all hold' if all(results) else results}")
 
 print()
-print("telescoping sums collapse to the zero polynomial:")
+print("telescoping: summed over k, the F-sums equal s! * P_s for s = r, r+1, r+2:")
 for r in range(1, 9):
     print(f"  r={r}:  {recursion.telescoping_check(r)}")
 
 print()
-print("stepping the recurrence from the two base cases:")
+print("stepping the recurrence from P_1 alone (the r = 0 step multiplies P_0 by 0):")
 for r, poly in recursion.stream(6):
     print(f"  r={r}:  {poly}")

@@ -11,8 +11,8 @@ SIGTERM with 143, after stopping any worker pool.  verify reports each
 check's elapsed time on stderr.
 
 Output is byte-identical across repeated runs with the same configuration,
-including under --threads: parallel enumeration shards merge by coefficient
-addition, which is order-independent.
+including under --threads: parallel enumeration shards are summed slot by
+slot, which is order-independent.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from .polynomial import BivarPoly, NotDivisible
 from .enumeration import DEFAULT_ENUM_CEILING, LimitExceeded
 from . import closed_form, enumeration, recursion, two_face
-
-TOTAL_THROUGH_13 = 6_749_977_113  # sum of r! for r = 1..13
 
 #: Every construction the CLI runs, by (faces, --method): build(rs, enum) gives
 #: (r, polynomial) for each r of the increasing rs, and shapes(r) is the number
@@ -328,8 +326,6 @@ def _check_totals():
         if recs[r].eval_at(1, 1) != expected:
             return False, f"recursion total wrong at r={r}"
         cumulative += expected
-    if cumulative != TOTAL_THROUGH_13:
-        return False, f"cumulative total {cumulative} != {TOTAL_THROUGH_13}"
     return True, f"P_r(1,1) = r! for r = 1..13; cumulative total {cumulative}"
 
 

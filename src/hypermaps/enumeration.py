@@ -27,16 +27,20 @@ One call walks Sym_r once, for all of its face shapes (which share r), split
 into r shards by the image of dart 0, serial or not.  The shard with
 sigma(0) = i puts i in front of each of the (r-1)! orders of the other
 images, counts cycles(sigma) once per sigma, and then runs each shape's
-filter and cycles(xi o sigma), giving one histogram per shape.  Shards are
-merged by coefficient addition, so pooled and serial runs produce identical
-polynomials.  A call pools its shards only when it has more than one worker
-and at least 8! permutations to count (r! times the number of face shapes).
-That branch imports multiprocessing on the first pooled call, so a serial
-run, or a program that merely imports the package, never loads it.  Pool
-workers ignore Ctrl-C and are terminated when the call leaves its pool
-block, however it leaves; SIGINT and SIGTERM are held back while the pool is
-built, so an interrupt lands only once the block can end it.  A worker that
-dies mid-walk raises ChildProcessError.
+filter and cycles(xi o sigma) into a flat table per shape, whose slot
+cs * (r + 1) + cx counts the sigma with cs cycles whose product xi o sigma
+has cx.  Each shape's face permutation is built once per call and handed to
+every shard.  The call sums the shards' tables slot by slot, an
+order-independent addition, so pooled and serial runs produce identical
+polynomials, and keys the nonzero slots as (cs, cx) once.  A call pools its
+shards only when it has more than one worker and at least 8! permutations
+to count (r! times the number of face shapes).  That branch imports
+multiprocessing on the first pooled call, so a serial run, or a program that
+merely imports the package, never loads it.  Pool workers ignore Ctrl-C and
+are terminated when the call leaves its pool block, however it leaves;
+SIGINT and SIGTERM are held back while the pool is built, so an interrupt
+lands only once the block can end it.  A worker that dies mid-walk raises
+ChildProcessError.
 """
 
 from __future__ import annotations
@@ -115,16 +119,13 @@ def _joins_blocks(perm: Sequence[int], blocks: Sequence[Sequence[int]], owner: S
     return False
 
 
-def _face(
-    shape: Sequence[int], connected_only: bool
-) -> Tuple[Tuple[int, ...], bool, List[List[int]], List[int], List[int]]:
-    """(xi, filtered, blocks, owner, counts) for one face shape of a shard walk.
+def _face(shape: Sequence[int]) -> Tuple[Tuple[int, ...], List[List[int]], List[int]]:
+    """(xi, blocks, owner) for one face shape: the face permutation's geometry.
 
     xi is the image table of the canonical face permutation: its cycles are
     the blocks of consecutive points, so lengths [a, b] give
     (0..a-1)(a..a+b-1), and owner[p] is the index of the block holding p.
-    counts is a flat histogram: counts[cs * (r + 1) + cx] is the number of
-    sigma with cs cycles whose product xi o sigma has cx cycles.
+    A shape with no cycle or a cycle shorter than 1 raises ValueError.
     """
     if not shape:
         raise ValueError("face shape needs at least one cycle")
@@ -138,25 +139,25 @@ def _face(
         xi.extend(block[1:] + block[:1])
         blocks.append(block)
         owner.extend([len(blocks) - 1] * length)
-    counts = [0] * (len(xi) + 1) ** 2
-    return tuple(xi), connected_only and len(blocks) > 1, blocks, owner, counts
+    return tuple(xi), blocks, owner
 
 
-def _count_shard(
-    shapes: Sequence[Sequence[int]],
-    first_image: int,
-    connected_only: bool,
-) -> List[Dict[Tuple[int, int], int]]:
-    """Histograms of (cycles(sigma), cycles(xi o sigma)) over one shard of Sym_r.
+def _count_shard(faces: Sequence[tuple], first_image: int, connected_only: bool) -> List[List[int]]:
+    """Flat histograms of (cycles(sigma), cycles(xi o sigma)) over one shard of Sym_r.
 
     The shard is the (r-1)! permutations sigma with sigma(0) = first_image,
-    each visited once for all face shapes: cycles(sigma) is counted once, then
-    each shape's filter and cycles(xi o sigma).  connected_only keeps only
-    sigma whose joint action with xi is transitive.  One histogram per shape.
+    each visited once for all faces, each the (xi, blocks, owner) of one
+    shape from _face: cycles(sigma) is counted once, then each face's filter
+    and cycles(xi o sigma).  connected_only keeps only sigma whose joint
+    action with xi is transitive.  One flat table per face: slot
+    cs * (r + 1) + cx counts the sigma with cs cycles whose product xi o sigma
+    has cx cycles.
     """
-    faces = [_face(shape, connected_only) for shape in shapes]
     r = len(faces[0][0])
     stride = r + 1
+    # this shard's faces: each with its filter flag and its own table
+    faces = [(xi, connected_only and len(blocks) > 1, blocks, owner, [0] * stride**2)
+             for xi, blocks, owner in faces]
     points = set(range(r))
     head = (first_image,)
     for rest in permutations([x for x in range(r) if x != first_image]):
@@ -184,10 +185,7 @@ def _count_shard(
                     left.remove(j)
                     j = xi[perm[j]]
             counts[slot] += 1
-    return [
-        {divmod(slot, stride): c for slot, c in enumerate(face[-1]) if c}
-        for face in faces
-    ]
+    return [face[-1] for face in faces]
 
 
 def cycle_pair_counts(
@@ -222,18 +220,20 @@ def _shape_counts(
 ) -> List[Dict[Tuple[int, int], int]]:
     """cycle_pair_counts for several face shapes of the same r, one histogram each.
 
-    Sym_r is walked once, as r shards, one per sigma(0), each shard counting
-    every shape.  The shards run in this process, or in one process pool when
-    there is more than one worker and at least _POOL_MIN_PERMS permutations
-    (number of shapes times r!) to count.
+    Each shape's face is built once, which also validates it, and Sym_r is
+    walked once, as r shards, one per sigma(0), each shard counting every
+    face into its own flat tables.  The shards run in this process, or in one
+    process pool when there is more than one worker and at least
+    _POOL_MIN_PERMS permutations (number of shapes times r!) to count.  The
+    shard tables are summed slot by slot and the nonzero slots keyed as
+    (cycles(sigma), cycles(xi o sigma)) once.
     """
     r = sum(shapes[0])
     if r < 1:
         raise ValueError(f"r must be a positive integer, got {r}")
     check_ceiling(r, ceiling)
-    for shape in shapes:
-        _face(shape, connected_only)  # a malformed shape raises here, before any pool starts
-    count = partial(_count_shard, shapes, connected_only=connected_only)
+    faces = [_face(shape) for shape in shapes]  # a malformed shape raises here, before any pool starts
+    count = partial(_count_shard, faces, connected_only=connected_only)
     if workers > 1 and len(shapes) * factorial(r) >= _POOL_MIN_PERMS:
         from multiprocessing import Pool  # only pooled calls load multiprocessing
         from signal import SIG_BLOCK, SIG_SETMASK, SIGINT, SIGTERM, pthread_sigmask
@@ -254,12 +254,10 @@ def _shape_counts(
             pthread_sigmask(SIG_SETMASK, held)  # when Pool() itself raised
     else:
         shards = map(count, range(r))
-    merged: List[Dict[Tuple[int, int], int]] = [{} for _ in shapes]
-    for shard in shards:
-        for counts, histogram in zip(merged, shard):
-            for key, c in histogram.items():
-                counts[key] = counts.get(key, 0) + c
-    return merged
+    return [  # zip(*shards) groups each face's r shard tables; sum them slot by slot, then key the slots
+        {divmod(slot, r + 1): c for slot, c in enumerate(map(sum, zip(*tables))) if c}
+        for tables in zip(*shards)
+    ]
 
 
 def one_face_poly(

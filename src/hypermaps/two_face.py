@@ -20,7 +20,8 @@ a), which would be a real finding rather than something to hide.  All the
 splits of one call are counted in one walk of Sym_r that visits each sigma
 once for every split, as r shards run in this process or, given more than
 one worker and at least 8! permutations in all (so from r = 8 on), in one
-process pool.
+process pool.  Each shard fills one flat table per split, and the call sums
+the shards' tables slot by slot into one histogram per split.
 
 connected_two_face_oracle recomputes the same polynomial a second,
 structurally different way, by enumerating only the sigma whose joint action
@@ -41,7 +42,7 @@ NamedTuple of (r, gf, total).
 from __future__ import annotations
 
 from math import factorial
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
 from .polynomial import BivarPoly, NotDivisible
 from .enumeration import DEFAULT_ENUM_CEILING, _shape_counts, check_ceiling
@@ -70,7 +71,7 @@ def two_face_gf(
     polynomial-time closed form.
     """
     splits = _unordered_splits(r, ceiling)
-    histograms = _shape_counts([[a, b] for a, b in splits], False, workers, ceiling)
+    histograms = _shape_counts(splits, False, workers, ceiling)
     gf = BivarPoly()
     for (a, b), counts in zip(splits, histograms):
         disconnected = closed_form.one_face_poly(a) * closed_form.one_face_poly(b)
@@ -118,22 +119,23 @@ def connected_two_face_oracle(
     performed by two_face_gf, which it must match.
     """
     splits = _unordered_splits(r, ceiling)
-    histograms = _shape_counts([[a, b] for a, b in splits], True, workers, ceiling)
+    histograms = _shape_counts(splits, True, workers, ceiling)
     gf = BivarPoly()
     for (a, b), counts in zip(splits, histograms):
         gf = gf + _both_orders(BivarPoly(counts), a, b)
     return gf
 
 
-def _unordered_splits(r: int, ceiling: Optional[int]) -> List[Tuple[int, int]]:
-    """The splits (a, b) of r darts into two loops with a >= b >= 1.
+def _unordered_splits(r: int, ceiling: Optional[int]) -> List[List[int]]:
+    """The splits [a, b] of r darts into two loops with a >= b >= 1.
 
-    r is checked against the enumeration ceiling before the r // 2 splits are
+    Each split is a list, the face shape that _shape_counts takes.  r is
+    checked against the enumeration ceiling before the r // 2 splits are
     built, so an r far past it fails at once instead of exhausting memory.
     """
     check_darts(r)
     check_ceiling(r, ceiling)
-    return [(r - b, b) for b in range(1, r // 2 + 1)]
+    return [[r - b, b] for b in range(1, r // 2 + 1)]
 
 
 def _both_orders(per_split: BivarPoly, a: int, b: int) -> BivarPoly:

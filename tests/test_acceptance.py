@@ -106,8 +106,9 @@ def test_c09_performance_shape():
         # timed right before and right after it, so a slow spell of the
         # machine divides out even when it starts mid-call; with the sample
         # after it, which is the next shard's sample before
+        faces = [enumeration._face([r])]
         start = time.perf_counter()
-        enumeration._count_shard([[r]], first_image, connected_only=False)
+        enumeration._count_shard(faces, first_image, connected_only=False)
         elapsed = time.perf_counter() - start
         after = _loop_seconds()
         return elapsed / (before + after), after

@@ -271,6 +271,23 @@ def test_force_overrides_ceiling(capsys, monkeypatch):
 def test_bad_range_exit_code(capsys):
     assert main(["poly", "--r-min", "5", "--r-max", "3"]) == 2
     assert main(["poly"]) == 2
+    capsys.readouterr()
+    assert main(["poly", "--r", "3", "--r-min", "1", "--r-max", "4"]) == 2
+    assert capsys.readouterr() == ("", "error: give either --r or --r-min/--r-max, not both\n")
+
+
+def test_an_inexact_division_exits_3(capsys, monkeypatch, tmp_path):
+    # with r! read as r! + 1 the closed form's final division leaves a remainder, which is exit 3
+    monkeypatch.setattr(closed_form, "factorial", lambda r: factorial(r) + 1)
+    path = tmp_path / "poly.txt"
+    for out in ([], ["--out", str(path)]):
+        code = main(["poly", "--r", "12", "--method", "closed", *out])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("internal consistency failure: coefficient ")
+    assert list(tmp_path.iterdir()) == []  # neither --out's file nor its temporary file
 
 
 @pytest.mark.parametrize(
@@ -471,20 +488,24 @@ def _adds(extra, *at):
         ), "FAIL base-cases: mismatch at r=2"),
         (enumeration, "one_face_poly", _adds(BivarPoly({(1, 1): 1}), 3),
          "FAIL method-agreement: methods disagree at r=3"),
-        (cli, "TOTAL_THROUGH_13", lambda total: total + 1,
-         "FAIL totals: cumulative total 6749977113 != 6749977114"),
+        (closed_form, "one_face_poly", _adds(BivarPoly({(1, 1): 1}), 13),
+         "FAIL totals: closed-form total wrong at r=13"),
         (closed_form, "stirling_row", lambda row: lambda r: [c + (r == 2) for c in row(r)],
          "FAIL stirling-marginal: marginal != Stirling row at r=2"),
         (closed_form, "one_face_poly", _adds(BivarPoly({(5, 0): 1}), 15),
          "FAIL symmetry-parity: closed != recursion at r=15"),
         (recursion, "certificate_bracket", _adds(BivarPoly({(0, 0): 1})),
          "FAIL certificate: certificate fails at (r=1, k=0)"),
+        (closed_form, "one_face_poly", _adds(BivarPoly({(1, 1): 1}), 10),
+         "FAIL certificate: telescoping fails at r=8"),
         (closed_form, "avg_trace_power_alt", _adds(1, 3, 2, 2),
          "FAIL quantum-moments: routes disagree at (m=3, n=2, r=2)"),
         (two_face, "two_face_total", _adds(1, 3), "FAIL two-face: total != closed formula at r=3"),
+        (two_face, "connected_two_face_oracle", _adds(BivarPoly({(1, 1): 1}), 3),
+         "FAIL two-face: subtraction route != transitive oracle at r=3"),
     ],
     ids=["base-cases", "method-agreement", "totals", "stirling-marginal", "symmetry-parity",
-         "certificate", "quantum-moments", "two-face"],
+         "certificate", "telescoping", "quantum-moments", "two-face", "two-face-oracle"],
 )
 def test_each_verify_check_fails_on_a_corrupted_route(capsys, monkeypatch, module, name, corrupt, failure):
     monkeypatch.setattr(module, name, corrupt(getattr(module, name)))

@@ -14,7 +14,7 @@ from hypermaps.enumeration import (
     cycle_pair_counts,
     one_face_poly,
 )
-from hypermaps.two_face import two_face_gf
+from hypermaps.two_face import two_face_gf, two_face_total
 
 P1 = BivarPoly({(1, 1): 1})
 P2 = BivarPoly({(2, 1): 1, (1, 2): 1})
@@ -101,6 +101,18 @@ def test_malformed_shape_fails_before_any_pool(pools_built):
     with pytest.raises(ValueError):
         cycle_pair_counts([9, 0], workers=2)
     assert pools_built == []
+
+
+def test_each_face_is_built_once_per_call(monkeypatch):
+    # the call builds each shape's face once and hands it to all r shards
+    built = []
+    face = enumeration._face
+    monkeypatch.setattr(enumeration, "_face", lambda shape: built.append(list(shape)) or face(shape))
+    assert sum(cycle_pair_counts([5, 2]).values()) == math.factorial(7)
+    assert built == [[5, 2]]
+    built.clear()
+    assert two_face_gf(7).total == two_face_total(7)
+    assert built == [[6, 1], [5, 2], [4, 3]]
 
 
 # Sends SIGINT to its own process the moment Pool() has started the thread that

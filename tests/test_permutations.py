@@ -1,8 +1,9 @@
 """The permutation walk under the enumeration: the shards of Sym_r and the transitivity filter.
 
 Both live in hypermaps.enumeration: _count_shard walks the permutations with
-one image of dart 0 once for every face shape of a call, and _joins_blocks
-tests transitivity on the cycles of the face permutation.
+one image of dart 0 once for every face of a call (each built by _face) into
+one flat table per face, and _joins_blocks tests transitivity on the cycles of
+the face permutation.
 """
 
 import math
@@ -34,16 +35,21 @@ XI_TABLES = {
 
 
 def _merged_shards(shapes, connected_only):
+    # the shards' flat tables keyed and merged dict by dict, apart from the call's slot-by-slot sum
     r = sum(shapes[0])
+    faces = [_face(shape) for shape in shapes]
     totals = [{} for _ in shapes]
     for i in range(r):
-        shard = _count_shard(shapes, i, connected_only)
+        shard = _count_shard(faces, i, connected_only)
         assert len(shard) == len(shapes)
-        for total, histogram in zip(totals, shard):
+        for total, table in zip(totals, shard):
+            assert len(table) == (r + 1) ** 2
             if not connected_only:
-                assert sum(histogram.values()) == math.factorial(r - 1)
-            for key, c in histogram.items():
-                total[key] = total.get(key, 0) + c
+                assert sum(table) == math.factorial(r - 1)
+            for slot, c in enumerate(table):
+                if c:
+                    key = divmod(slot, r + 1)
+                    total[key] = total.get(key, 0) + c
     return totals
 
 
@@ -87,7 +93,7 @@ def test_connected_filter_matches_point_orbits():
     shapes += [[7 - b, b] for b in range(1, 7)]
     for shape in shapes:
         r = sum(shape)
-        xi = _face(shape, True)[0]
+        xi = _face(shape)[0]
         expected = {}
         for perm in permutations(range(r)):
             if len(_orbit_of_zero(xi, perm)) == r:
@@ -116,9 +122,8 @@ def test_is_transitive():
     'the block-level filter agrees with a point-level BFS on every sigma in Sym_r'
     for shape, table in XI_TABLES.items():
         r = sum(shape)
-        xi, filtered, blocks, owner, _ = _face(shape, True)
+        xi, blocks, owner = _face(shape)
         assert xi == table
-        assert filtered == (len(shape) > 1)
         assert sorted(p for block in blocks for p in block) == list(range(r))
         assert all(owner[p] == b for b, block in enumerate(blocks) for p in block)
         joined = 0
@@ -129,17 +134,18 @@ def test_is_transitive():
         if len(shape) == 1:
             assert joined == math.factorial(r)
     # two fixed points joined only by the transposition
-    _, _, blocks, owner, _ = _face([1, 1], True)
+    _, blocks, owner = _face([1, 1])
     assert _joins_blocks((1, 0), blocks, owner)
     assert not _joins_blocks((0, 1), blocks, owner)
 
 
 def test_multi_shape_shard_matches_single_shape_shards():
     'one walk for several face shapes gives each shape the histogram of its own walk'
+    faces = [_face(shape) for shape in SHAPES_6]
     for connected_only in (False, True):
         for first_image in range(6):
-            together = _count_shard(SHAPES_6, first_image, connected_only)
-            apart = [_count_shard([shape], first_image, connected_only)[0] for shape in SHAPES_6]
+            together = _count_shard(faces, first_image, connected_only)
+            apart = [_count_shard([face], first_image, connected_only)[0] for face in faces]
             assert together == apart
         totals = _merged_shards(SHAPES_6, connected_only)
         assert totals == [cycle_pair_counts(s, connected_only=connected_only) for s in SHAPES_6]
