@@ -1,14 +1,16 @@
 """Exact sparse bivariate polynomials over the integers.
 
-A polynomial in the formal variables m and n is stored as a dict mapping
-exponent pairs (e, v) to nonzero integer coefficients:
+A polynomial in the formal variables m and n is stored as a read-only
+mapping from exponent pairs (e, v) to nonzero integer coefficients:
 
     m^3*n + 3*m^2*n^2  ->  {(3, 1): 1, (2, 2): 3}
 
-The zero polynomial is the empty dict.  Zero coefficients are never stored,
-so two polynomials are equal exactly when their term dicts are equal.  All
-coefficients are Python ints (arbitrary precision) and every operation is
-exact; there is no floating point anywhere in this module.
+Every operation builds its result as a dict; the recurrence's polynomials
+instead read their terms in place from its genus rows (recursion._RowView).
+The zero polynomial is the empty mapping.  Zero coefficients are never
+held, so two polynomials are equal exactly when their term mappings are
+equal.  All coefficients are Python ints (arbitrary precision) and every
+operation is exact; there is no floating point anywhere in this module.
 
 Values are immutable after construction and safe to share between workers.
 """
@@ -40,7 +42,12 @@ class NotDivisible(ArithmeticError):
 
 
 class BivarPoly:
-    """Immutable sparse polynomial in two formal variables m and n."""
+    """Immutable sparse polynomial in two formal variables m and n.
+
+    The term store _terms is any read-only mapping with no zero values: a
+    dict, or the recurrence's view on its genus rows.  Methods read it only
+    through mapping operations.
+    """
 
     __slots__ = ("_terms",)
 
@@ -85,7 +92,9 @@ class BivarPoly:
     def __add__(self, other: "BivarPoly") -> "BivarPoly":
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        out = dict(self._terms)
+        terms = self._terms
+        # dict(mapping) looks a mapping that is not a dict up term by term; its items() need no lookup
+        out = dict(terms) if isinstance(terms, dict) else dict(terms.items())
         for ev, c in other._terms.items():
             s = out.get(ev, 0) + c
             if s:
@@ -201,8 +210,8 @@ class BivarPoly:
         return f"BivarPoly({dict(self.sorted_terms())!r})"
 
 
-def _wrap(terms: TermMap) -> BivarPoly:
-    """Build a BivarPoly from an already-clean term dict without re-validating."""
+def _wrap(terms: Mapping[ExponentPair, int]) -> BivarPoly:
+    """Build a BivarPoly from an already-clean term mapping without re-validating."""
     p = BivarPoly.__new__(BivarPoly)
     object.__setattr__(p, "_terms", terms)
     return p

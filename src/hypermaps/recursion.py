@@ -38,6 +38,13 @@ palindrome and raises ValueError naming s and the genus row if one is not;
 an asymmetric state thus never passes silently, even when its computed half
 happens to divide exactly.
 
+No term dict is built from the rows.  stream yields each P_s as a BivarPoly
+whose term store is a read-only view of its rows (_RowView): a lookup of
+m^e*n^v is index arithmetic on rows[g][e-1], and iteration zips each row
+with its exponent ranges.  The view stores no keys, and mirrored slots share
+their int objects, so P_s costs little beyond its distinct coefficients.
+Generic arithmetic on P_s reads the view and builds its result as a dict.
+
 The recurrence is certified by a telescoping companion identity: with F(r, k)
 the k-th summand of the closed-form sum, there is an explicitly given G(r, k)
 such that
@@ -55,29 +62,90 @@ checks the second step, that each F-sum is the closed-form P.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
+from itertools import chain, compress
 from math import comb, factorial
-from typing import Dict, List, Tuple
+from operator import itemgetter
+from typing import List
 
 from .polynomial import M, N, BivarPoly, NotDivisible, _wrap
 from . import closed_form
 
 _Rows = List[List[int]]
-#: Exponent pairs (i, d - i), i = 1..d-1, of the terms of total degree d.
-_KeyCache = Dict[int, List[Tuple[int, int]]]
 
 
 def stream(r_max: int):
-    """Yield (r, polynomial) for r = 1..r_max in one recurrence pass; once done, hold nothing."""
+    """Yield (r, polynomial) for r = 1..r_max in one recurrence pass; once done, hold nothing.
+
+    Each P_r reads its terms in place from the genus rows the step built
+    (a _RowView), so no term dict is copied out of the rows.
+    """
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
-    keys: _KeyCache = {}
     prev, curr = [], [[1]]  # no rows for P_0: the r = 0 step multiplies it by 0
     for s in range(1, r_max):
-        yield s, _to_poly(curr, s, keys)
+        yield s, _wrap(_RowView(curr, s))
         prev, curr = curr, _advance(s + 1, curr, prev)
-    last = [_to_poly(curr, r_max, keys)]
-    del prev, curr, keys  # kept after its last item, the stream holds no rows, no cache
+    last = [_wrap(_RowView(curr, r_max))]
+    del prev, curr  # kept after its last item, the stream holds no rows
     yield r_max, last.pop()  # and, with P_r_max yielded unnamed, no polynomial
+
+
+class _RowView(Mapping):
+    """The terms of P_s read in place from its genus rows, as a BivarPoly term store.
+
+    Slot j of genus row g is the coefficient of m^(j+1)*n^(s-2g-j).  Like a
+    term dict, the view holds only nonzero slots: a zero slot is absent from
+    iteration, items() and len, and looking it up raises KeyError, as does
+    any key off the rows.  The rows are never mutated once wrapped, since
+    _advance builds new lists every step.
+    """
+
+    __slots__ = ("_rows", "_s")
+
+    def __init__(self, rows: _Rows, s: int):
+        self._rows, self._s = rows, s
+
+    def __getitem__(self, key):
+        try:
+            e, v = key
+            g, odd = divmod(self._s + 1 - e - v, 2)
+            on_rows = e >= 1 and v >= 1 and not odd and 0 <= g < len(self._rows)
+            c = self._rows[g][e - 1] if on_rows else 0
+        except (TypeError, ValueError):  # not a pair of ints
+            c = 0
+        if c:
+            return c
+        raise KeyError(key)
+
+    def __len__(self) -> int:
+        return sum(len(row) - row.count(0) for row in self._rows)
+
+    def __iter__(self):
+        return map(itemgetter(0), self._pairs())
+
+    def items(self):
+        return _RowItems(self)
+
+    def __eq__(self, other):
+        # same s and row count means same row lengths, so the rows compare slot by slot
+        if isinstance(other, _RowView) and other._s == self._s and len(other._rows) == len(self._rows):
+            return self._rows == other._rows
+        return super().__eq__(other)
+
+    def _pairs(self):
+        """((e, v), coefficient) of every nonzero slot, zipped in C with no call per term."""
+        return chain.from_iterable(
+            compress(zip(zip(range(1, len(row) + 1), range(len(row), 0, -1)), row), row)
+            for row in self._rows
+        )
+
+
+class _RowItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return self._mapping._pairs()
 
 
 def _advance(s: int, a_rows: _Rows, b_rows: _Rows) -> _Rows:
@@ -116,20 +184,6 @@ def _advance(s: int, a_rows: _Rows, b_rows: _Rows) -> _Rows:
                     f"(stepping to s={s})"
                 )
     return out
-
-
-def _to_poly(rows: _Rows, s: int, keys: _KeyCache) -> BivarPoly:
-    """The polynomial in s darts held by rows, reusing key tuples cached in keys."""
-    terms = {}
-    for g, row in enumerate(rows):
-        deg = s + 1 - 2 * g
-        ks = keys.get(deg)
-        if ks is None:
-            ks = keys[deg] = [(i, deg - i) for i in range(1, deg)]
-        for k, c in zip(ks, row):
-            if c:
-                terms[k] = c
-    return _wrap(terms)
 
 
 # certificate -------------------------------------------------------------

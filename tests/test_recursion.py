@@ -5,10 +5,10 @@ from math import comb, factorial, prod
 import pytest
 
 from hypermaps import closed_form, enumeration
-from hypermaps.polynomial import M, N, BivarPoly, NotDivisible
+from hypermaps.polynomial import M, N, BivarPoly, NotDivisible, _wrap
 from hypermaps.recursion import (
     _advance,
-    _to_poly,
+    _RowView,
     certificate_bracket,
     stream,
     telescoping_check,
@@ -111,7 +111,7 @@ def test_stream_items_unchanged():
 
 
 def test_finished_stream_holds_nothing():
-    'a stream that has yielded its last item keeps no rows, key cache or polynomial alive'
+    'a stream that has yielded its last item keeps no rows or polynomial alive'
     gc.collect()
     tracemalloc.start()
     try:
@@ -125,8 +125,133 @@ def test_finished_stream_holds_nothing():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert held < 100_000, held  # bytes; with their last rows, cache and P_100 three hold 1.7 MB
+    assert held < 100_000, held  # bytes; with the rows of P_99 and P_100, which P_100 reads, three hold 0.67 MB
     assert all(next(gen, None) is None for gen in kept)
+
+
+def test_streamed_polynomials_read_their_rows_in_place():
+    'P_1..P_150 read their terms from the step\'s rows, whose mirrored slots share ints; term dicts held 22.8 MB'
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = list(stream(150))
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 150
+    assert size <= 16_000_000, size  # bytes; 13.9 MB as row views
+
+
+def _slot_dict(rows, s):
+    'the term dict of the polynomial held by rows, built slot by slot'
+    return {(j + 1, s - 2 * g - j): c for g, row in enumerate(rows) for j, c in enumerate(row) if c}
+
+
+def _absent_keys(s):
+    'a key of each kind a term dict of P_s lacks, apart from zero slots'
+    return [
+        (0, s + 1), (-1, s + 2), (s + 1, 0), (s + 2, -1), (0, 0),  # e or v < 1
+        (2, s), (1, s + 1), (s + 1, 1),  # e + v of the wrong parity
+        (s, 3), (1, s + 2), (s + 1, s + 1),  # degree above s + 1: genus below 0
+        "mn", None, 7, (1,), (1, s, 0), ("1", s), (1.5, s - 0.5), ([1], s),  # not a pair of ints
+    ]
+
+
+def _assert_mapping_contract(view, ref, s):
+    'view holds exactly the items of the term dict ref, with dict lookup semantics'
+    assert dict(view.items()) == ref and list(view) == list(ref) and len(view) == len(ref)
+    for key, c in ref.items():
+        assert view[key] == view.get(key) == c and key in view
+    for key in _absent_keys(s):
+        assert view.get(key) is None and view.get(key, 0) == 0 and key not in view, key
+        with pytest.raises(KeyError):
+            view[key]
+        if isinstance(key, tuple) and len(key) == 2 and all(isinstance(x, int) for x in key):
+            assert key not in ref and _wrap(view).coefficient(*key) == 0, key
+
+
+@pytest.fixture(scope="module")
+def row_views():
+    'P_s for s <= 60 and s = 150 as stream yields it, with its term dict built from its rows'
+    out = {}
+    for s, poly in stream(150):
+        if s <= 60 or s == 150:
+            assert type(poly._terms) is _RowView
+            out[s] = poly, _slot_dict(poly._terms._rows, s)
+    return out
+
+
+def test_row_view_is_the_term_dict(row_views):
+    for s, (poly, ref) in row_views.items():
+        _assert_mapping_contract(poly._terms, ref, s)
+        assert ref == closed_form.one_face_poly(s)._terms, s
+
+
+def test_row_view_equality(row_views):
+    'a view equals a dict or a view exactly when their terms are equal, in both directions'
+    again = dict(stream(150))
+    for s, (poly, _) in row_views.items():
+        closed, other = closed_form.one_face_poly(s), closed_form.one_face_poly(s + 1)
+        assert poly == closed and closed == poly and not poly != closed and not closed != poly
+        assert poly != other and other != poly and not poly == other and not other == poly
+        assert poly._terms == closed._terms and closed._terms == poly._terms
+        assert poly == again[s] and again[s] == poly and not poly != again[s]
+        if s < 150:
+            assert poly != again[s + 1] and again[s + 1] != poly
+    # a view of other rows that hold the same terms falls back to comparing terms
+    assert _RowView([[0, 0, 0], [1]], 3) == _RowView([[1]], 1) == {(1, 1): 1}
+    assert _RowView([[0, 0, 0], [1]], 3) != _RowView([[0, 1, 0], [1]], 3)
+
+
+def test_row_view_arithmetic_matches_a_dict_copy(row_views):
+    prev = None
+    for s, (poly, ref) in row_views.items():
+        copy = BivarPoly(ref)
+        assert type(copy._terms) is dict
+        assert poly.sorted_terms() == copy.sorted_terms() and poly.render() == copy.render(), s
+        assert repr(poly) == repr(copy)
+        for res, want in (
+            (poly + poly, copy + copy),
+            (poly - copy, BivarPoly()),
+            (poly * (M + N), copy * (M + N)),
+            ((M - N) ** 2 * poly, (M - N) ** 2 * copy),
+            (poly * -3, copy * -3),
+            (poly.exact_div(1), copy),
+            (poly.swap_vars(), copy.swap_vars()),
+            (poly.swap_vars(), copy),
+        ):
+            assert type(res._terms) is dict and res._terms == want._terms, s
+        with pytest.raises(NotDivisible) as got:
+            poly.exact_div(2)  # the coefficient of m*n^s is 1
+        with pytest.raises(NotDivisible) as want:
+            copy.exact_div(2)
+        assert (got.value.e, got.value.v, got.value.coeff) == (want.value.e, want.value.v, want.value.coeff)
+        for m, n in ((1, 1), (2, 3), (-5, 7), (s, s + 1)):
+            assert poly.eval_at(m, n) == copy.eval_at(m, n), (s, m, n)
+        for n in (1, -2, 9):
+            assert poly.substitute_n(n) == copy.substitute_n(n), (s, n)
+        if prev is not None:
+            prev_poly, prev_copy = prev
+            assert (poly + prev_poly)._terms == (copy + prev_copy)._terms == (prev_poly + poly)._terms
+            if s <= 20:
+                assert (poly * prev_poly)._terms == (copy * prev_copy)._terms
+        prev = poly, copy
+
+
+def test_row_view_hides_a_zero_slot():
+    'a zero planted in a row is absent from items, iteration, len and lookups, as in a term dict'
+    poly = dict(stream(7))[7]
+    rows = [list(row) for row in poly._terms._rows]
+    rows[1][2] = 0  # the slot of m^3*n^3, genus 1
+    view, ref = _RowView(rows, 7), _slot_dict(poly._terms._rows, 7)
+    del ref[(3, 3)]
+    _assert_mapping_contract(view, ref, 7)
+    assert (3, 3) not in view and view.get((3, 3)) is None and len(view) == len(poly) - 1
+    assert _wrap(view) == BivarPoly(ref) and BivarPoly(ref) == _wrap(view) and _wrap(view) != poly
+    assert _wrap(view).coefficient(3, 3) == 0 and (3, 3) not in dict(view.items())
+    # rows cut short of their last genus hold no term of it
+    short = _RowView(poly._terms._rows[:-1], 7)
+    assert (1, 1) not in short and short.get((1, 1)) is None and len(short) == len(poly) - 1
 
 
 def test_step_division_always_exact():
@@ -151,9 +276,9 @@ def test_corrupted_state_is_caught():
     # coefficient matches the generic products
     err, r = caught.value, s - 2
     assert err.divisor == r + 3
-    rhs = (2 * r + 3) * (M + N) * _to_poly(curr, s - 1, {}) + r * (
+    rhs = (2 * r + 3) * (M + N) * _wrap(_RowView(curr, s - 1)) + r * (
         BivarPoly({(0, 0): (r + 1) ** 2}) - (M - N) ** 2
-    ) * _to_poly(prev, s - 2, {})
+    ) * _wrap(_RowView(prev, s - 2))
     assert rhs.coefficient(err.e, err.v) == err.coeff
     assert err.coeff % err.divisor
 
