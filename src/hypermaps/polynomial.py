@@ -92,9 +92,7 @@ class BivarPoly:
     def __add__(self, other: "BivarPoly") -> "BivarPoly":
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        terms = self._terms
-        # dict(mapping) looks a mapping that is not a dict up term by term; its items() need no lookup
-        out = dict(terms) if isinstance(terms, dict) else dict(terms.items())
+        out = dict(self._terms)
         for ev, c in other._terms.items():
             s = out.get(ev, 0) + c
             if s:

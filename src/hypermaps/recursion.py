@@ -40,10 +40,12 @@ happens to divide exactly.
 
 No term dict is built from the rows.  stream yields each P_s as a BivarPoly
 whose term store is a read-only view of its rows (_RowView): a lookup of
-m^e*n^v is index arithmetic on rows[g][e-1], and iteration zips each row
-with its exponent ranges.  The view stores no keys, and mirrored slots share
-their int objects, so P_s costs little beyond its distinct coefficients.
-Generic arithmetic on P_s reads the view and builds its result as a dict.
+m^e*n^v is index arithmetic on rows[g][e-1], and iteration reads the rows
+column by column, in the order that sorted_terms returns and the CLI
+prints, so sorting the terms is one linear pass.  The view stores no keys,
+and mirrored slots share their int objects, so P_s costs little beyond its
+distinct coefficients.  Generic arithmetic on P_s reads the view and builds
+its result as a dict.
 
 The recurrence is certified by a telescoping companion identity: with F(r, k)
 the k-th summand of the closed-form sum, there is an explicitly given G(r, k)
@@ -63,7 +65,7 @@ checks the second step, that each F-sum is the closed-form P.
 from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping
-from itertools import chain, compress
+from itertools import chain, compress, repeat, zip_longest
 from math import comb, factorial
 from operator import itemgetter
 from typing import List
@@ -128,16 +130,21 @@ class _RowView(Mapping):
         return _RowItems(self)
 
     def __eq__(self, other):
-        # same s and row count means same row lengths, so the rows compare slot by slot
-        if isinstance(other, _RowView) and other._s == self._s and len(other._rows) == len(self._rows):
-            return self._rows == other._rows
-        return super().__eq__(other)
+        return dict(self._pairs()) == other if isinstance(other, Mapping) else NotImplemented
 
     def _pairs(self):
-        """((e, v), coefficient) of every nonzero slot, zipped in C with no call per term."""
+        """((e, v), coefficient) of every nonzero slot, e descending and then v descending.
+
+        This is the order of sorted_terms, so sorting them is one linear pass.
+        Column e-1 of the rows holds the terms in m^e genus by genus, which
+        is v descending; its key range stops at the last row long enough to
+        reach it, before the zeros that pad the column.
+        """
+        s = self._s
+        cols = list(zip_longest(*self._rows, fillvalue=0))
         return chain.from_iterable(
-            compress(zip(zip(range(1, len(row) + 1), range(len(row), 0, -1)), row), row)
-            for row in self._rows
+            compress(zip(zip(repeat(e), range(s + 1 - e, 0, -2)), col), col)
+            for e, col in zip(range(s, 0, -1), reversed(cols))
         )
 
 

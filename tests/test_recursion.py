@@ -143,8 +143,8 @@ def test_streamed_polynomials_read_their_rows_in_place():
 
 
 def _slot_dict(rows, s):
-    'the term dict of the polynomial held by rows, built slot by slot'
-    return {(j + 1, s - 2 * g - j): c for g, row in enumerate(rows) for j, c in enumerate(row) if c}
+    'the term dict of the polynomial held by rows, built slot by slot, in the order sorted_terms gives'
+    return dict(sorted(((j + 1, s - 2 * g - j), c) for g, row in enumerate(rows) for j, c in enumerate(row) if c)[::-1])
 
 
 def _absent_keys(s):
@@ -198,7 +198,7 @@ def test_row_view_equality(row_views):
         assert poly == again[s] and again[s] == poly and not poly != again[s]
         if s < 150:
             assert poly != again[s + 1] and again[s + 1] != poly
-    # a view of other rows that hold the same terms falls back to comparing terms
+    # views of different rows are equal when they hold the same terms
     assert _RowView([[0, 0, 0], [1]], 3) == _RowView([[1]], 1) == {(1, 1): 1}
     assert _RowView([[0, 0, 0], [1]], 3) != _RowView([[0, 1, 0], [1]], 3)
 
