@@ -12,7 +12,12 @@ held, so two polynomials are equal exactly when their term mappings are
 equal.  All coefficients are Python ints (arbitrary precision) and every
 operation is exact; there is no floating point anywhere in this module.
 
-Values are immutable after construction and safe to share between workers.
+Values are immutable after construction, so one value may be shared by any
+number of callers and threads in a process.  They cannot cross a process
+boundary: pickle, copy.copy and copy.deepcopy raise AttributeError, because
+restoring the term store goes through the __setattr__ that refuses every
+write.  Pool workers therefore return plain tables of ints, never a
+BivarPoly.
 """
 
 from __future__ import annotations

@@ -38,24 +38,6 @@ def run_cli(capsys, *argv):
     return code, captured.out
 
 
-def test_poly_closed(capsys):
-    code, out = run_cli(capsys, "poly", "--r", "2", "--method", "closed")
-    assert code == 0
-    assert out == "m^2*n + m*n^2\n"
-
-
-def test_poly_enumerate(capsys):
-    code, out = run_cli(capsys, "poly", "--r", "1", "--method", "enumerate")
-    assert code == 0
-    assert out == "m*n\n"
-
-
-def test_poly_recursion(capsys):
-    code, out = run_cli(capsys, "poly", "--r", "3", "--method", "recursion")
-    assert code == 0
-    assert out == "m^3*n + 3*m^2*n^2 + m*n^3 + m*n\n"
-
-
 def test_poly_methods_agree(capsys):
     outputs = {
         method: run_cli(capsys, "poly", "--r", "6", "--method", method)[1]
@@ -77,21 +59,6 @@ def test_recurrence_is_the_default_route(capsys, monkeypatch):
     code, out = run_cli(capsys, "bench", "--r", "3", "--reps", "1")
     assert code == 0
     assert out.splitlines()[1].split(",")[0] == "recursion"
-
-
-def test_poly_two_face(capsys):
-    code, out = run_cli(capsys, "poly", "--r", "2", "--faces", "2")
-    assert code == 0
-    assert out == "m*n\n"
-
-
-def test_poly_json(capsys):
-    code, out = run_cli(capsys, "poly", "--r", "2", "--format", "json")
-    assert code == 0
-    assert json.loads(out) == {
-        "r": 2,
-        "terms": [{"e": 2, "v": 1, "c": "1"}, {"e": 1, "v": 2, "c": "1"}],
-    }
 
 
 def closed_rows(rs):
@@ -125,29 +92,6 @@ def test_table_rows_are_counts(capsys):
     assert rows == closed_rows([3])
 
 
-GOLDEN_TABLE_R4 = """\
-r,e,v,count
-1,1,1,1
-2,2,1,1
-2,1,2,1
-3,3,1,1
-3,2,2,3
-3,1,3,1
-3,1,1,1
-4,4,1,1
-4,3,2,6
-4,2,3,6
-4,2,1,5
-4,1,4,1
-4,1,2,5
-"""
-
-
-def test_table_golden_output(capsys):
-    _, out = run_cli(capsys, "table", "--r-min", "1", "--r-max", "4", "--format", "csv")
-    assert out == GOLDEN_TABLE_R4
-
-
 _TERMS_2 = '{"r": 2, "terms": [{"e": 2, "v": 1, "c": "1"}, {"e": 1, "v": 2, "c": "1"}]}'
 _TERMS_3 = (
     '{"r": 3, "terms": [{"e": 3, "v": 1, "c": "1"}, {"e": 2, "v": 2, "c": "3"}, '
@@ -155,32 +99,120 @@ _TERMS_3 = (
 )
 
 
-@pytest.mark.parametrize(
-    "argv, expected",
-    [
+#: Every pinned stdout, as (argv, its bytes at exit 0); a long one is pinned
+#: as "sha256:" and the hex digest of its bytes.  JSON for a single r is a
+#: list everywhere except in poly.
+_OUTPUTS = [
+    ("poly --r 1 --method enumerate", "m*n\n"),
+    ("poly --r 2 --method closed", "m^2*n + m*n^2\n"),
+    ("poly --r 3 --method recursion", "m^3*n + 3*m^2*n^2 + m*n^3 + m*n\n"),
+    ("poly --r 2 --faces 2", "m*n\n"),
+    ("poly --r 2 --format json", f"{_TERMS_2}\n"),
+    ("poly --r-min 2 --r-max 3 --format csv", "r,e,v,count\n2,2,1,1\n2,1,2,1\n3,3,1,1\n3,2,2,3\n3,1,3,1\n3,1,1,1\n"),
+    ("poly --r-min 2 --r-max 3 --format json", f"[{_TERMS_2}, {_TERMS_3}]\n"),
+    ("poly --r-min 1 --r-max 60", "sha256:c6fb6382cc5d8bb6c42a675cb51fdcc9e5906d1efbe93744647b0c1ce6e29cc8"),
+    ("table --r 3", "r,e,v,count\n3,3,1,1\n3,2,2,3\n3,1,3,1\n3,1,1,1\n"),
+    ("table --r 3 --format json", f"[{_TERMS_3}]\n"),
+    (
+        "table --r-min 1 --r-max 4 --format csv",
+        "r,e,v,count\n1,1,1,1\n2,2,1,1\n2,1,2,1\n3,3,1,1\n3,2,2,3\n3,1,3,1\n3,1,1,1\n"
+        "4,4,1,1\n4,3,2,6\n4,2,3,6\n4,2,1,5\n4,1,4,1\n4,1,2,5\n",
+    ),
+    # the two-face route serial and pooled: --threads 2 pools r = 8
+    *[
         (
-            "poly --r-min 2 --r-max 3 --format csv",
-            "r,e,v,count\n2,2,1,1\n2,1,2,1\n3,3,1,1\n3,2,2,3\n3,1,3,1\n3,1,1,1\n",
-        ),
-        ("poly --r-min 2 --r-max 3 --format json", f"[{_TERMS_2}, {_TERMS_3}]\n"),
-        ("table --r 3", "r,e,v,count\n3,3,1,1\n3,2,2,3\n3,1,3,1\n3,1,1,1\n"),
-        ("table --r 3 --format json", f"[{_TERMS_3}]\n"),
-        ("count --r 5 --format json", '[{"r": 5, "faces": 1, "count": "120"}]\n'),
-        (
-            "count --faces 2 --r-min 3 --r-max 4 --format json",
-            '[{"r": 3, "faces": 2, "count": "6"}, {"r": 4, "faces": 2, "count": "34"}]\n',
-        ),
-        ("count --r-min 1 --r-max 3", "r,faces,count\n1,1,1\n2,1,2\n3,1,6\n"),
-        ("stirling --r 4 --format json", '[{"r": 4, "row": ["6", "11", "6", "1"]}]\n'),
-        ("stirling --r-min 1 --r-max 4", "1\n1 1\n2 3 1\n6 11 6 1\n"),
-        # a range is stepped from r = 1 and drops the rows below --r-min
-        ("stirling --r-min 3 --r-max 5", "2 3 1\n6 11 6 1\n24 50 35 10 1\n"),
+            f"table --r-min 2 --r-max 8 --faces 2 --format csv --threads {threads}",
+            "sha256:0fb074fd936a41fc061f5df7eafac900a670301923d744cb465324b7275cd460",
+        )
+        for threads in (1, 2)
     ],
-)
+    ("count --r 13", "6227020800\n"),
+    ("count --r 5 --faces 2", "210\n"),
+    ("count --r 5 --format json", '[{"r": 5, "faces": 1, "count": "120"}]\n'),
+    (
+        "count --faces 2 --r-min 3 --r-max 4 --format json",
+        '[{"r": 3, "faces": 2, "count": "6"}, {"r": 4, "faces": 2, "count": "34"}]\n',
+    ),
+    ("count --r-min 1 --r-max 3", "r,faces,count\n1,1,1\n2,1,2\n3,1,6\n"),
+    ("count --r-min 1 --r-max 3 --format csv", "r,faces,count\n1,1,1\n2,1,2\n3,1,6\n"),
+    ("count --faces 2 --r-min 2 --r-max 4 --format csv", "r,faces,count\n2,2,1\n3,2,6\n4,2,34\n"),
+    ("stirling --r 3", "2 3 1\n"),
+    ("stirling --r 4 --format csv", "r,k,c\n4,1,6\n4,2,11\n4,3,6\n4,4,1\n"),
+    ("stirling --r 4 --format json", '[{"r": 4, "row": ["6", "11", "6", "1"]}]\n'),
+    ("stirling --r-min 1 --r-max 4", "1\n1 1\n2 3 1\n6 11 6 1\n"),
+    # a range is stepped from r = 1 and drops the rows below --r-min
+    ("stirling --r-min 3 --r-max 5", "2 3 1\n6 11 6 1\n24 50 35 10 1\n"),
+    ("stirling --r-min 1 --r-max 200", "sha256:562d1c2d8f120f1aae4f186acc8e98234fdc8b67e3b6163cce6dfdd18751c4b7"),
+    ("avg-trace --m 2 --n 2 --r 2", "4/5\n"),
+    ("avg-trace --m 2 --n 2 --r 2 --format csv", "m,n,r,value\n2,2,2,4/5\n"),
+    ("avg-trace --m 3 --n 2 --r 2 --format json", '{"m": 3, "n": 2, "r": 2, "value": "5/7"}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _OUTPUTS)
 def test_every_format_is_pinned(capsys, argv, expected):
-    # one case per (subcommand, format) pair that no other test pins byte
-    # for byte; JSON for a single r is a list everywhere except in poly
-    assert run_cli(capsys, *argv.split()) == (0, expected)
+    code, out = run_cli(capsys, *argv.split())
+    if expected.startswith("sha256:"):
+        out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
+    assert (code, out) == (0, expected)
+
+
+def test_every_subcommand_and_format_has_an_output_row():
+    # bench prints timings, so no row can pin it; verify takes no --format, and
+    # its stdout is pinned beside its stderr timings in test_verify_times_go_to_stderr
+    accepted = {
+        (name, fmt)
+        for name, (_, _, groups) in cli._COMMANDS.items()
+        if name != "bench" and "format" in groups.split()
+        for fmt in cli._FLAGS["format"]["--format"]["choices"]
+    }
+    pinned = {(argv.split()[0], re.search(r"--format (\w+)|$", argv)[1] or "text") for argv, _ in _OUTPUTS}
+    assert pinned == accepted
+
+
+#: Every pinned refusal, as (argv, its one stderr line); each exits 2 with
+#: nothing on stdout, so each is refused before the first byte.
+_REFUSALS = [
+    ("poly", "error: need --r, or both --r-min and --r-max"),
+    ("poly --r-min 5 --r-max 3", "error: --r-min exceeds --r-max"),
+    ("poly --r 3 --r-min 1 --r-max 4", "error: give either --r or --r-min/--r-max, not both"),
+    *[
+        (argv, "error: r must be a positive integer")
+        for argv in (
+            "poly --r-min 0 --r-max 3", "table --r-min 0 --r-max 2", "poly --r 0 --method closed",
+            "count --r 0", "stirling --r 0",
+        )
+    ],
+    (
+        "poly --r 20 --method enumerate",
+        "error: enumeration over Sym_20 exceeds the ceiling of 13 (the work factor is r*r!; "
+        "--force on the command line, or ceiling=None, overrides it)",
+    ),
+    # refused before --force warns of a walk that the library then refuses
+    *[
+        (f"{command} --faces 2 {darts} --force", "error: two-face maps need at least 2 darts")
+        for command in ("poly", "table")
+        for darts in ("--r 1", "--r-min 1 --r-max 3")
+    ],
+    ("count --faces 2 --r 1", "error: two-face maps need at least 2 darts"),
+    *[
+        (f"poly --r 3 --threads {value}", f"error: --threads takes a positive integer or 'auto', not '{value}'")
+        for value in ("abc", "0", "-2", "1.5")
+    ],
+    ("avg-trace --m 0 --n 2 --r 2", "error: m, n, r must all be positive, got (0, 2, 2)"),
+    # the two-face check starts at r = 2, so a smaller --r-max would test nothing
+    *[
+        (f"verify --r-max {r_max}", "error: --r-max must be at least 2, the smallest two-face check")
+        for r_max in (1, 0, -3)
+    ],
+    *[(f"bench --r 3 --method closed --reps {reps}", "error: --reps must be at least 1") for reps in (0, -4)],
+]
+
+
+@pytest.mark.parametrize("argv, line", _REFUSALS)
+def test_every_refusal_is_pinned(capsys, argv, line):
+    assert main(argv.split()) == 2
+    assert capsys.readouterr() == ("", f"{line}\n")
 
 
 def test_bench_json_shape(capsys):
@@ -198,67 +230,6 @@ def test_bench_json_shape(capsys):
         assert obj["flag"] in ("", "below_resolution")
 
 
-def test_count_single(capsys):
-    code, out = run_cli(capsys, "count", "--r", "13")
-    assert code == 0
-    assert out == "6227020800\n"
-
-
-def test_count_two_face(capsys):
-    code, out = run_cli(capsys, "count", "--r", "5", "--faces", "2")
-    assert code == 0
-    assert out == "210\n"
-
-
-def test_count_range_csv(capsys):
-    code, out = run_cli(capsys, "count", "--r-min", "1", "--r-max", "3", "--format", "csv")
-    assert code == 0
-    assert out == "r,faces,count\n1,1,1\n2,1,2\n3,1,6\n"
-
-
-def test_count_two_face_range_csv(capsys):
-    code, out = run_cli(capsys, "count", "--faces", "2", "--r-min", "2", "--r-max", "4", "--format", "csv")
-    assert code == 0
-    assert out == "r,faces,count\n2,2,1\n3,2,6\n4,2,34\n"
-
-
-def test_stirling_text(capsys):
-    code, out = run_cli(capsys, "stirling", "--r", "3")
-    assert code == 0
-    assert out == "2 3 1\n"
-
-
-def test_stirling_csv(capsys):
-    code, out = run_cli(capsys, "stirling", "--r", "4", "--format", "csv")
-    assert code == 0
-    assert out == "r,k,c\n4,1,6\n4,2,11\n4,3,6\n4,4,1\n"
-
-
-def test_avg_trace(capsys):
-    code, out = run_cli(capsys, "avg-trace", "--m", "2", "--n", "2", "--r", "2")
-    assert code == 0
-    assert out == "4/5\n"
-
-
-def test_avg_trace_json(capsys):
-    code, out = run_cli(capsys, "avg-trace", "--m", "3", "--n", "2", "--r", "2", "--format", "json")
-    assert code == 0
-    assert json.loads(out) == {"m": 3, "n": 2, "r": 2, "value": "5/7"}
-
-
-def test_avg_trace_csv(capsys):
-    code, out = run_cli(capsys, "avg-trace", "--m", "2", "--n", "2", "--r", "2", "--format", "csv")
-    assert code == 0
-    assert out == "m,n,r,value\n2,2,2,4/5\n"
-
-
-def test_limit_exceeded_exit_code(capsys):
-    code = main(["poly", "--r", "20", "--method", "enumerate"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "ceiling" in captured.err
-
-
 def test_force_overrides_ceiling(capsys, monkeypatch):
     argv = ["poly", "--r", "7", "--method", "enumerate"]
     expected = run_cli(capsys, *argv)[1]
@@ -266,14 +237,6 @@ def test_force_overrides_ceiling(capsys, monkeypatch):
     assert run_cli(capsys, *argv) == (2, "")
     assert run_cli(capsys, *argv, "--force") == (0, expected)
     assert expected.count("\n") == 1
-
-
-def test_bad_range_exit_code(capsys):
-    assert main(["poly", "--r-min", "5", "--r-max", "3"]) == 2
-    assert main(["poly"]) == 2
-    capsys.readouterr()
-    assert main(["poly", "--r", "3", "--r-min", "1", "--r-max", "4"]) == 2
-    assert capsys.readouterr() == ("", "error: give either --r or --r-min/--r-max, not both\n")
 
 
 def test_an_inexact_division_exits_3(capsys, monkeypatch, tmp_path):
@@ -288,24 +251,6 @@ def test_an_inexact_division_exits_3(capsys, monkeypatch, tmp_path):
         [line] = captured.err.splitlines()
         assert line.startswith("internal consistency failure: coefficient ")
     assert list(tmp_path.iterdir()) == []  # neither --out's file nor its temporary file
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["poly", "--r-min", "0", "--r-max", "3"],
-        ["table", "--r-min", "0", "--r-max", "2"],
-        ["poly", "--r", "0", "--method", "closed"],
-        ["count", "--r", "0"],
-    ],
-    ids=["poly-range", "table-range", "poly-closed", "count"],
-)
-def test_darts_below_one_are_rejected(capsys, argv):
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == "error: r must be a positive integer\n"
 
 
 @pytest.mark.parametrize("command", ["poly", "table"])
@@ -460,16 +405,6 @@ def test_verify_times_go_to_stderr(capsys):
     ]
 
 
-@pytest.mark.parametrize("r_max", ["1", "0", "-3"])
-def test_verify_r_max_below_two_is_rejected(capsys, r_max):
-    # the two-face check starts at r = 2, so a smaller --r-max would test nothing
-    code = main(["verify", "--r-max", r_max])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == "error: --r-max must be at least 2, the smallest two-face check\n"
-
-
 def _adds(extra, *at):
     """A corruption of a function: it adds extra to the value at the arguments at, or to every value without at."""
     def corrupt(fn):
@@ -564,15 +499,6 @@ def test_two_face_force_warning_counts_its_face_shapes(capsys, monkeypatch):
     )
 
 
-@pytest.mark.parametrize("command", ["poly", "table"])
-@pytest.mark.parametrize("darts", [["--r", "1"], ["--r-min", "1", "--r-max", "3"]], ids=["r1", "r1-3"])
-def test_too_few_darts_for_two_faces_are_refused_before_any_warning(capsys, command, darts):
-    # --force would warn of a walk that the library then refuses
-    assert main([command, "--faces", "2", *darts, "--force"]) == 2
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: two-face maps need at least 2 darts\n")
-
-
 def test_force_warning_stays_short_past_20_digits():
     # past 20 digits r! and the time are powers of ten, truncated to one decimal
     assert "22! ~ 1.1e21 permutations, about 71234867.5 years" in _serial_estimate(22)
@@ -598,24 +524,6 @@ def test_bench_csv_shape(capsys):
         ms, flag = line.split(",")[2::2]
         assert re.fullmatch(r"\d+\.\d{3}", ms)
         assert flag in ("", "below_resolution")
-
-
-@pytest.mark.parametrize("reps", ["0", "-4"])
-def test_bench_reps_below_one_are_rejected(capsys, reps):
-    code = main(["bench", "--r", "3", "--method", "closed", "--reps", reps])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == "error: --reps must be at least 1\n"
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-def test_bad_threads_value_names_the_flag(capsys, value):
-    code = main(["poly", "--r", "3", "--threads", value])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == f"error: --threads takes a positive integer or 'auto', not '{value}'\n"
 
 
 def test_count_prints_more_than_4300_digits(capsys):
@@ -889,34 +797,3 @@ def _group_alive(pgid):
     except ProcessLookupError:
         return False
     return True
-
-
-def test_poly_range_recursion_golden():
-    # pins the recurrence route byte for byte: stdout of
-    # `hypermaps poly --r-min 1 --r-max 60`
-    out = _subprocess_out("poly", "--r-min", "1", "--r-max", "60")
-    assert hashlib.sha256(out).hexdigest() == (
-        "c6fb6382cc5d8bb6c42a675cb51fdcc9e5906d1efbe93744647b0c1ce6e29cc8"
-    )
-
-
-def test_stirling_range_golden():
-    # pins the stepped Stirling rows byte for byte: stdout of
-    # `hypermaps stirling --r-min 1 --r-max 200`
-    out = _subprocess_out("stirling", "--r-min", "1", "--r-max", "200")
-    assert hashlib.sha256(out).hexdigest() == (
-        "562d1c2d8f120f1aae4f186acc8e98234fdc8b67e3b6163cce6dfdd18751c4b7"
-    )
-
-
-def test_two_face_table_golden():
-    # pins the two-face route byte for byte, pooled and serial: stdout of
-    # `hypermaps table --r-min 2 --r-max 8 --faces 2 --format csv`
-    for threads in ("1", "2"):
-        out = _subprocess_out(
-            "table", "--r-min", "2", "--r-max", "8", "--faces", "2", "--format", "csv",
-            "--threads", threads,
-        )
-        assert hashlib.sha256(out).hexdigest() == (
-            "0fb074fd936a41fc061f5df7eafac900a670301923d744cb465324b7275cd460"
-        )
