@@ -170,49 +170,69 @@ def test_every_subcommand_and_format_has_an_output_row():
     assert pinned == accepted
 
 
-#: Every pinned refusal, as (argv, its one stderr line); each exits 2 with
-#: nothing on stdout, so each is refused before the first byte.
+def assert_refused(capsys, argv, line):
+    """argv exits 2 with nothing on stdout and line alone on stderr, so it is refused before the first byte."""
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"{line}\n")
+
+
+#: Every one-case refusal, as (argv, its one stderr line); the refusals of a
+#: flag over several values are the parametrized tests below, with the same check.
 _REFUSALS = [
     ("poly", "error: need --r, or both --r-min and --r-max"),
     ("poly --r-min 5 --r-max 3", "error: --r-min exceeds --r-max"),
     ("poly --r 3 --r-min 1 --r-max 4", "error: give either --r or --r-min/--r-max, not both"),
-    *[
-        (argv, "error: r must be a positive integer")
-        for argv in (
-            "poly --r-min 0 --r-max 3", "table --r-min 0 --r-max 2", "poly --r 0 --method closed",
-            "count --r 0", "stirling --r 0",
-        )
-    ],
     (
         "poly --r 20 --method enumerate",
         "error: enumeration over Sym_20 exceeds the ceiling of 13 (the work factor is r*r!; "
         "--force on the command line, or ceiling=None, overrides it)",
     ),
-    # refused before --force warns of a walk that the library then refuses
-    *[
-        (f"{command} --faces 2 {darts} --force", "error: two-face maps need at least 2 darts")
-        for command in ("poly", "table")
-        for darts in ("--r 1", "--r-min 1 --r-max 3")
-    ],
     ("count --faces 2 --r 1", "error: two-face maps need at least 2 darts"),
-    *[
-        (f"poly --r 3 --threads {value}", f"error: --threads takes a positive integer or 'auto', not '{value}'")
-        for value in ("abc", "0", "-2", "1.5")
-    ],
     ("avg-trace --m 0 --n 2 --r 2", "error: m, n, r must all be positive, got (0, 2, 2)"),
-    # the two-face check starts at r = 2, so a smaller --r-max would test nothing
-    *[
-        (f"verify --r-max {r_max}", "error: --r-max must be at least 2, the smallest two-face check")
-        for r_max in (1, 0, -3)
-    ],
-    *[(f"bench --r 3 --method closed --reps {reps}", "error: --reps must be at least 1") for reps in (0, -4)],
 ]
 
 
 @pytest.mark.parametrize("argv, line", _REFUSALS)
 def test_every_refusal_is_pinned(capsys, argv, line):
-    assert main(argv.split()) == 2
-    assert capsys.readouterr() == ("", f"{line}\n")
+    assert_refused(capsys, argv.split(), line)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "poly --r-min 0 --r-max 3", "table --r-min 0 --r-max 2", "poly --r 0 --method closed",
+        "count --r 0", "stirling --r 0",
+    ],
+    ids=["poly-range", "table-range", "poly-closed", "count", "stirling"],
+)
+def test_darts_below_one_are_rejected(capsys, argv):
+    assert_refused(capsys, argv.split(), "error: r must be a positive integer")
+
+
+@pytest.mark.parametrize("command", ["poly", "table"])
+@pytest.mark.parametrize("darts", [["--r", "1"], ["--r-min", "1", "--r-max", "3"]], ids=["r1", "r1-3"])
+def test_too_few_darts_for_two_faces_are_refused_before_any_warning(capsys, command, darts):
+    # --force would warn of a walk that the library then refuses
+    assert_refused(capsys, [command, "--faces", "2", *darts, "--force"], "error: two-face maps need at least 2 darts")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bad_threads_value_names_the_flag(capsys, value):
+    line = f"error: --threads takes a positive integer or 'auto', not '{value}'"
+    assert_refused(capsys, ["poly", "--r", "3", "--threads", value], line)
+
+
+@pytest.mark.parametrize("r_max", ["1", "0", "-3"])
+def test_verify_r_max_below_two_is_rejected(capsys, r_max):
+    # the two-face check starts at r = 2, so a smaller --r-max would test nothing
+    line = "error: --r-max must be at least 2, the smallest two-face check"
+    assert_refused(capsys, ["verify", "--r-max", r_max], line)
+
+
+@pytest.mark.parametrize("reps", ["0", "-4"])
+def test_bench_reps_below_one_are_rejected(capsys, reps):
+    argv = ["bench", "--r", "3", "--method", "closed", "--reps", reps]
+    assert_refused(capsys, argv, "error: --reps must be at least 1")
 
 
 def test_bench_json_shape(capsys):
