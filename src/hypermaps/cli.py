@@ -7,7 +7,7 @@ when every requested computation or check succeeded; enumeration requests
 above the ceiling exit with 2 (override with --force, which warns on stderr
 how long the walk takes), as do bad arguments and an --out that cannot be
 written; failed verify checks exit with 1.  Ctrl-C exits with 130 and
-SIGTERM with 143, after stopping any worker pool.  verify reports each
+SIGTERM with 143, after stopping any enumeration workers.  verify reports each
 check's elapsed time on stderr.
 
 Output is byte-identical across repeated runs with the same configuration,

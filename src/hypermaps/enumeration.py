@@ -34,13 +34,13 @@ every shard.  The call sums the shards' tables slot by slot, an
 order-independent addition, so pooled and serial runs produce identical
 polynomials, and keys the nonzero slots as (cs, cx) once.  A call pools its
 shards only when it has more than one worker and at least 8! permutations
-to count (r! times the number of face shapes).  That branch imports
-multiprocessing on the first pooled call, so a serial run, or a program that
-merely imports the package, never loads it.  Pool workers ignore Ctrl-C and
-are terminated when the call leaves its pool block, however it leaves;
-SIGINT and SIGTERM are held back while the pool is built, so an interrupt
-lands only once the block can end it.  A worker that dies mid-walk raises
-ChildProcessError.
+to count (r! times the number of face shapes); it forks its workers and
+reads each one's tables back over a pipe, so no run loads multiprocessing.
+Workers ignore Ctrl-C and stop after their current shard once the caller is
+gone, and the call kills and reaps every worker still running however it
+ends.  SIGINT and SIGTERM are held back from the first fork until every
+worker is recorded, so an interrupt lands only once the call can end them
+all.  A worker that dies mid-walk raises ChildProcessError.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import permutations
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .polynomial import BivarPoly
 
@@ -68,12 +68,12 @@ _NS_PER_PERM = 2000
 #: permutation (median 5.93) for five shapes, so a shape adds 0.97 us.
 _NS_PER_EXTRA_SHAPE = 1000
 
-#: A call with more than one worker pools its shards only when it counts at
-#: least this many permutations (number of shapes times r!); below that the
-#: pool costs more than it saves.  Medians of 7 interleaved calls on a 2-core
-#: machine, serial against two workers: one_face_poly(7) 9.4 vs 13.9 ms,
-#: two_face_gf(7) 13-14 vs 23-24 ms, connected_two_face_oracle(7) 18-23 vs
-#: 22-30 ms; one_face_poly(8) 85 vs 58 ms, two_face_gf(8) 151 vs 119 ms.
+#: A call with more than one worker forks workers for its shards only when it
+#: counts at least this many permutations (number of shapes times r!).  Medians
+#: of 7 interleaved calls in four sets on a 2-core machine, serial against two
+#: forked workers: one_face_poly(7) 7.4-9.5 vs 8.6-13.4 ms, two_face_gf(7)
+#: 13.8-19.8 vs 13.0-22.5 ms, connected_two_face_oracle(7) 14.9-23.7 vs 14.5-29.9
+#: ms; one_face_poly(8) 60.8-68.5 vs 42.9-87.3 ms, two_face_gf(8) 156-182 vs 99-109 ms.
 _POOL_MIN_PERMS = factorial(8)
 
 
@@ -204,12 +204,58 @@ def cycle_pair_counts(
     return _shape_counts([list(lengths)], connected_only, workers, ceiling)[0]
 
 
-def _pool_worker() -> None:
-    """Pool initializer: leave Ctrl-C to the parent, and let the pool's SIGTERM end the worker."""
-    from signal import SIG_DFL, SIG_IGN, SIG_UNBLOCK, SIGINT, SIGTERM, pthread_sigmask, signal
-    signal(SIGINT, SIG_IGN)
-    signal(SIGTERM, SIG_DFL)  # not the KeyboardInterrupt handler a worker forked under cli.main inherits
-    pthread_sigmask(SIG_UNBLOCK, (SIGINT, SIGTERM))  # blocked by the parent while it built the pool
+def _fork_shards(count: Callable[[int], list], r: int, workers: int) -> list:
+    """The r results count(i), in some order, from min(workers, r) forked workers.
+
+    Worker w of W walks the shards w, w + W, ... and writes their results as
+    one marshal dump to its own pipe.  The caller reaps each worker at the end
+    of its pipe, so a death shows at once; no worker holds a lock another needs.
+    """
+    import marshal
+    import os
+    import select
+    from signal import SIG_BLOCK, SIG_DFL, SIG_IGN, SIG_SETMASK, SIG_UNBLOCK, SIGINT, SIGKILL, SIGTERM
+    from signal import pthread_sigmask, signal
+
+    width = min(workers, r)
+    caller = os.getpid()
+    pipes = {}  # the read end of each running worker's pipe -> the worker's pid
+    held = pthread_sigmask(SIG_BLOCK, (SIGINT, SIGTERM))  # until every forked pid is recorded
+    try:
+        for w in range(width):
+            rfd, wfd = os.pipe()
+            pid = os.fork()
+            if not pid:  # the worker
+                try:
+                    signal(SIGINT, SIG_IGN)
+                    signal(SIGTERM, SIG_DFL)  # not the KeyboardInterrupt handler cli.main installs
+                    pthread_sigmask(SIG_UNBLOCK, (SIGINT, SIGTERM))
+                    os.close(rfd)
+                    # once the caller is gone, skip the shards left: no one will read them
+                    tables = [count(shard) for shard in range(w, r, width) if os.getppid() == caller]
+                    with open(wfd, "wb") as out:
+                        marshal.dump(tables, out)
+                    os._exit(0)
+                finally:  # whatever the worker raised ends it here, never in the caller's code
+                    os._exit(1)
+            os.close(wfd)
+            pipes[open(rfd, "rb", buffering=0)] = pid
+        pthread_sigmask(SIG_SETMASK, held)
+        shards = []
+        while pipes:
+            for pipe in select.select(list(pipes), [], [])[0]:
+                dump = pipe.readall()  # a worker writes once, at the end of its share, or dies
+                pipe.close()
+                if os.waitpid(pipes.pop(pipe), 0)[1]:
+                    raise ChildProcessError("an enumeration worker died before the walk was done")
+                shards += marshal.loads(dump)
+        return shards
+    finally:  # however the call ends, no worker outlives it
+        for pipe, pid in pipes.items():
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+        pthread_sigmask(SIG_SETMASK, held)  # when a fork raised
 
 
 def _shape_counts(
@@ -222,8 +268,8 @@ def _shape_counts(
 
     Each shape's face is built once, which also validates it, and Sym_r is
     walked once, as r shards, one per sigma(0), each shard counting every
-    face into its own flat tables.  The shards run in this process, or in one
-    process pool when there is more than one worker and at least
+    face into its own flat tables.  The shards run in this process, or in
+    forked workers when there is more than one worker and at least
     _POOL_MIN_PERMS permutations (number of shapes times r!) to count.  The
     shard tables are summed slot by slot and the nonzero slots keyed as
     (cycles(sigma), cycles(xi o sigma)) once.
@@ -232,26 +278,10 @@ def _shape_counts(
     if r < 1:
         raise ValueError(f"r must be a positive integer, got {r}")
     check_ceiling(r, ceiling)
-    faces = [_face(shape) for shape in shapes]  # a malformed shape raises here, before any pool starts
+    faces = [_face(shape) for shape in shapes]  # a malformed shape raises here, before any fork
     count = partial(_count_shard, faces, connected_only=connected_only)
     if workers > 1 and len(shapes) * factorial(r) >= _POOL_MIN_PERMS:
-        from multiprocessing import Pool  # only pooled calls load multiprocessing
-        from signal import SIG_BLOCK, SIG_SETMASK, SIGINT, SIGTERM, pthread_sigmask
-        # an interrupt inside Pool() would leave its worker-handler thread respawning
-        # workers that nothing terminates, so interrupts wait until the pool is whole
-        held = pthread_sigmask(SIG_BLOCK, (SIGINT, SIGTERM))
-        try:
-            with Pool(min(workers, r), _pool_worker) as pool:  # leaving the block terminates the workers
-                pthread_sigmask(SIG_SETMASK, held)
-                pids = [w.pid for w in pool._pool]
-                shards = pool.map_async(count, range(r), chunksize=1)
-                while not shards.ready():  # Pool replaces a dead worker but never reruns its shard
-                    shards.wait(0.1)
-                    if [w.pid for w in pool._pool] != pids:
-                        raise ChildProcessError("an enumeration worker died before the walk was done")
-                shards = shards.get()
-        finally:
-            pthread_sigmask(SIG_SETMASK, held)  # when Pool() itself raised
+        shards = _fork_shards(count, r, workers)
     else:
         shards = map(count, range(r))
     return [  # zip(*shards) groups each face's r shard tables; sum them slot by slot, then key the slots

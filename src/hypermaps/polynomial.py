@@ -16,7 +16,7 @@ Values are immutable after construction, so one value may be shared by any
 number of callers and threads in a process.  They cannot cross a process
 boundary: pickle, copy.copy and copy.deepcopy raise AttributeError, because
 restoring the term store goes through the __setattr__ that refuses every
-write.  Pool workers therefore return plain tables of ints, never a
+write.  Enumeration workers therefore return plain tables of ints, never a
 BivarPoly.
 """
 
@@ -97,7 +97,7 @@ class BivarPoly:
     def __add__(self, other: "BivarPoly") -> "BivarPoly":
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        out = dict(self._terms)
+        out = dict(self._terms.items())  # a recurrence row view reads its pairs in order, not one lookup per key
         for ev, c in other._terms.items():
             s = out.get(ev, 0) + c
             if s:

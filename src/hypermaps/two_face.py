@@ -19,8 +19,8 @@ raises NotDivisible if the equivalence classes ever fail to have size b (or
 a), which would be a real finding rather than something to hide.  All the
 splits of one call are counted in one walk of Sym_r that visits each sigma
 once for every split, as r shards run in this process or, given more than
-one worker and at least 8! permutations in all (so from r = 8 on), in one
-process pool.  Each shard fills one flat table per split, and the call sums
+one worker and at least 8! permutations in all (so from r = 8 on), in
+forked workers.  Each shard fills one flat table per split, and the call sums
 the shards' tables slot by slot into one histogram per split.
 
 connected_two_face_oracle recomputes the same polynomial a second,

@@ -721,11 +721,11 @@ def _group_ignoring_sigint(pgid):
     return found
 
 
-def _wait_for_pool(proc):
-    'return once both pool workers have run their initializer, which ignores SIGINT'
+def _wait_for_workers(proc):
+    'return once both enumeration workers have started, which each marks by ignoring SIGINT'
     deadline = time.monotonic() + 60
     while len(_group_ignoring_sigint(proc.pid)) < 2:
-        assert proc.poll() is None and time.monotonic() < deadline, "no pool came up"
+        assert proc.poll() is None and time.monotonic() < deadline, "no workers came up"
         time.sleep(0.02)
 
 
@@ -743,7 +743,7 @@ ON_PROC = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads
 @pytest.mark.parametrize("signum, to_group, code, r", [
     pytest.param(signal.SIGINT, True, 130, "10", id="SIGINT"),  # a terminal's Ctrl-C reaches the whole process group
     pytest.param(signal.SIGTERM, False, 143, "10", id="SIGTERM"),  # kill PID reaches the parent alone
-    # an r = 11 shard is 10! permutations, seconds of work: the pool must not wait for it
+    # an r = 11 shard is 10! permutations, seconds of work: the call must not wait for it
     pytest.param(signal.SIGINT, True, 130, "11", id="SIGINT-r11"),
     pytest.param(signal.SIGTERM, False, 143, "11", id="SIGTERM-r11"),
 ])
@@ -753,7 +753,7 @@ def test_interrupt_ends_a_pooled_run_cleanly(signum, to_group, code, r):
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
     )
     try:
-        _wait_for_pool(proc)
+        _wait_for_workers(proc)
         (os.killpg if to_group else os.kill)(proc.pid, signum)
         sent = time.monotonic()
         out, err = proc.communicate(timeout=60)
@@ -770,14 +770,14 @@ def test_interrupt_ends_a_pooled_run_cleanly(signum, to_group, code, r):
 @ON_PROC
 @pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGTERM], ids=["SIGKILL", "SIGTERM"])
 def test_a_worker_killed_mid_shard_ends_the_run(signum):
-    # the pool starts a replacement worker but never reruns the lost shard, so the
-    # call must notice the death rather than wait for that shard (10! permutations)
+    # no worker reruns the lost shards, so the call must notice the death at once
+    # rather than wait for the other worker's share (several shards of 10! permutations)
     proc = subprocess.Popen(
         [sys.executable, "-m", "hypermaps", "poly", "--r", "11", "--method", "enumerate", "--threads", "2"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
     )
     try:
-        _wait_for_pool(proc)
+        _wait_for_workers(proc)
         os.kill(_group_ignoring_sigint(proc.pid)[0], signum)
         sent = time.monotonic()
         out, err = proc.communicate(timeout=60)
@@ -794,16 +794,19 @@ def test_a_worker_killed_mid_shard_ends_the_run(signum):
 @ON_PROC
 def test_library_caller_killed_by_sigterm_leaves_no_worker():
     # no handler is installed outside cli.main, so SIGTERM ends the caller at once;
-    # each worker ends when its current shard is done and finds no parent to take it
+    # each worker ends when its current shard is done and finds no parent to take it.
+    # At r = 11 one shard of 10! permutations took 6-9 s on a 2-core machine, and a
+    # worker's share of five or six shards 30 s or more: only a worker that stops
+    # after its current shard leaves within the 20 s window below
     proc = subprocess.Popen(
-        [sys.executable, "-c", "from hypermaps import enumeration; enumeration.one_face_poly(10, workers=2)"],
+        [sys.executable, "-c", "from hypermaps import enumeration; enumeration.one_face_poly(11, workers=2)"],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
     )
     try:
-        _wait_for_pool(proc)
+        _wait_for_workers(proc)
         os.kill(proc.pid, signal.SIGTERM)
         proc.wait(timeout=60)
-        orphaned = not _group_gone_within(proc.pid, 10)
+        orphaned = not _group_gone_within(proc.pid, 20)
     finally:
         if _group_alive(proc.pid):
             os.killpg(proc.pid, signal.SIGKILL)

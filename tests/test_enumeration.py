@@ -3,7 +3,6 @@ import os
 import signal
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import pytest
 
@@ -65,27 +64,14 @@ def test_pooled_small_calls_match_serial(monkeypatch):
 
 @pytest.fixture
 def pools_built(monkeypatch):
-    """Replace the process pool by an in-process stand-in; list the pools built."""
+    """Replace the forked workers by an in-process stand-in; list the worker counts asked for."""
     built = []
 
-    class StubPool:
-        def __init__(self, processes, initializer=None):
-            built.append(processes)
+    def walk_in_process(count, r, workers):
+        built.append(workers)
+        return [count(shard) for shard in range(r)]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return None
-
-        _pool = ()  # no worker processes, so none can die
-
-        def map_async(self, fn, iterable, chunksize=None):
-            shards = list(map(fn, iterable))
-            return SimpleNamespace(ready=lambda: True, get=lambda: shards)
-
-    # the pooled branch imports the pool class at call time, so patch it at its source
-    monkeypatch.setattr("multiprocessing.Pool", StubPool)
+    monkeypatch.setattr(enumeration, "_fork_shards", walk_in_process)
     return built
 
 
@@ -115,38 +101,46 @@ def test_each_face_is_built_once_per_call(monkeypatch):
     assert built == [[6, 1], [5, 2], [4, 3]]
 
 
-# Sends SIGINT to its own process the moment Pool() has started the thread that
-# replaces dead workers, before the pool can be terminated by anyone; then
-# prints how many workers are still alive 5 s after the KeyboardInterrupt.
-_INTERRUPT_INSIDE_POOL = """
-import multiprocessing, os, signal, threading, time
+# Sends SIGINT to its own process as soon as the first os.fork returns in the
+# caller, before the second worker exists; then prints how many workers were
+# forked and how many of those pids still exist, zombies included.
+_INTERRUPT_WHILE_FORKING = """
+import os, signal
 from hypermaps import enumeration
 
-start = threading.Thread.start
+fork = os.fork
+forked = []
 
-def start_then_interrupt(thread):
-    handles_workers = getattr(thread._target, "__name__", "") == "_handle_workers"
-    start(thread)
-    if handles_workers:
-        os.kill(os.getpid(), signal.SIGINT)
+def fork_then_interrupt():
+    pid = fork()
+    if pid:
+        forked.append(pid)
+        if len(forked) == 1:
+            os.kill(os.getpid(), signal.SIGINT)
+    return pid
 
-threading.Thread.start = start_then_interrupt
+os.fork = fork_then_interrupt
 try:
     enumeration.one_face_poly(8, workers=2)
 except KeyboardInterrupt:
-    pass
-deadline = time.monotonic() + 5
-while multiprocessing.active_children() and time.monotonic() < deadline:
-    time.sleep(0.05)
-print(len(multiprocessing.active_children()), flush=True)
-os._exit(0)  # skip the exit-time cleanup, which would hide a leftover worker
+    print("interrupted")
+
+def exists(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+print(len(forked), sum(map(exists, forked)), flush=True)
 """
 
 
 @pytest.mark.skipif(not hasattr(signal, "pthread_sigmask"), reason="POSIX signal masks")
 def test_an_interrupt_while_the_pool_is_built_leaves_no_worker():
+    # the interrupt waits until both pids are recorded, so both workers are forked, killed and reaped
     proc = subprocess.Popen(
-        [sys.executable, "-c", _INTERRUPT_INSIDE_POOL],
+        [sys.executable, "-c", _INTERRUPT_WHILE_FORKING],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
     )
     try:
@@ -156,7 +150,7 @@ def test_an_interrupt_while_the_pool_is_built_leaves_no_worker():
             os.killpg(proc.pid, signal.SIGKILL)  # any worker left behind
         except ProcessLookupError:
             pass
-    assert (proc.returncode, out) == (0, "0\n"), err
+    assert (proc.returncode, out) == (0, "interrupted\n2 0\n"), err
 
 
 def test_ceiling_guard():

@@ -66,10 +66,10 @@ def test_layering_walk_sees_nested_and_absolute_imports():
     assert package_imports(source) == {"polynomial", "recursion", "two_face", "closed_form"}
 
 
-#: Loaded on first use only: multiprocessing by a pooled enumeration call,
-#: statistics by bench, argparse by build_parser, json by JSON output,
-#: fractions (and decimal, which it imports) by the mean trace powers;
-#: concurrent.futures.process, dataclasses and inspect by nothing in the package.
+#: Loaded on first use only: statistics by bench, argparse by build_parser,
+#: json by JSON output, fractions (and decimal, which it imports) by the mean
+#: trace powers; concurrent.futures.process, multiprocessing, dataclasses and
+#: inspect by nothing in the package, pooled enumeration included.
 DEFERRED = (
     "concurrent.futures.process", "multiprocessing", "dataclasses", "inspect", "statistics",
     "argparse", "json", "fractions", "decimal",
@@ -78,15 +78,25 @@ DEFERRED = (
 SRC = str(Path(hypermaps.__file__).parent.parent)
 
 
-def test_cli_import_leaves_out_deferred_modules():
+def deferred_modules_loaded_by(statement):
+    """The DEFERRED modules loaded after running statement in a fresh interpreter."""
     # -S skips site, whose .pth files may import any of these on their own
     code = (
-        f"import sys; sys.path.insert(0, {SRC!r}); import hypermaps.cli; "
+        f"import sys; sys.path.insert(0, {SRC!r}); {statement}; "
         f"print(' '.join(m for m in {DEFERRED!r} if m in sys.modules))"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    return proc.stdout.split()
+
+
+def test_cli_import_leaves_out_deferred_modules():
+    assert deferred_modules_loaded_by("import hypermaps.cli") == []
+
+
+def test_a_pooled_enumeration_loads_no_multiprocessing():
+    # 8! permutations with two workers: the call forks its workers itself
+    assert deferred_modules_loaded_by("from hypermaps.enumeration import one_face_poly; one_face_poly(8, workers=2)") == []
 
 
 @pytest.mark.parametrize(

@@ -238,6 +238,17 @@ def test_row_view_arithmetic_matches_a_dict_copy(row_views):
         prev = poly, copy
 
 
+def test_adding_row_views_looks_up_no_key(row_views, monkeypatch):
+    'P_s + P_(s-1) on views reads both through their pairs: no __getitem__ per term'
+    def lookup(view, key):
+        raise AssertionError(f"looked up {key!r}")
+
+    monkeypatch.setattr(_RowView, "__getitem__", lookup)
+    for s in range(2, 61):
+        (poly, ref), (prev, prev_ref) = row_views[s], row_views[s - 1]
+        assert (poly + prev)._terms == (BivarPoly(ref) + BivarPoly(prev_ref))._terms, s
+
+
 def test_row_view_hides_a_zero_slot():
     'a zero planted in a row is absent from items, iteration, len and lookups, as in a term dict'
     poly = dict(stream(7))[7]
